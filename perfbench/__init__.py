@@ -1,0 +1,5 @@
+"""End-to-end benchmark of the COSTREAM reproduction (``BENCHMARK.json``).
+
+Run one workload with ``python3 perfbench/run.py --workload <name>
+--seed <n> --seconds <s> --trace <0|1>``; see ``perfbench/README.md``.
+"""

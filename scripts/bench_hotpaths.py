@@ -120,18 +120,11 @@ def main(argv: list[str] | None = None) -> int:
           f"({epoch['fast_s_per_epoch']:.2f} s/epoch, "
           f"{epoch['n_graphs']} graphs)")
     train = results["ensemble_train"]
-    train_pool = ""
-    if "pool" in train:
-        train_health = train["pool"].get("health", {})
-        train_pool = (f", pooled fit == single-process: "
-                      f"{train['pool']['matches_single_process']} "
-                      f"(degraded grad steps: "
-                      f"{train_health.get('degraded_grad_steps', 0)})")
     print(f"ens-train: {train['speedup']:6.2f}x stacked K="
           f"{train['ensemble_size']} "
           f"({1e3 * train['stacked_s_per_epoch']:.0f} ms/epoch, "
           f"loss delta {train['max_abs_train_loss_delta']:.1e}, "
-          f"params equal: {train['params_equal']}{train_pool})")
+          f"params equal: {train['params_equal']})")
     print(f"equivalence: max|delta|={results['equivalence']['max_abs_delta']:.2e}"
           f" pass={results['equivalence']['pass']}")
     print(f"wrote {args.out}")

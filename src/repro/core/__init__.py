@@ -11,8 +11,7 @@ from .graph import (GraphBatch, HostFeatures, PlanFeatures, QueryGraph,
                     featurize_plan, mega_mergeable, merge_batches)
 from .metrics import (balance_classes, classification_accuracy, q_error,
                       q_error_percentiles)
-from .model import (CostreamGNN, MemberStack, MESSAGE_SCHEMES,
-                    TrainableMemberStack)
+from .model import CostreamGNN, MemberStack, MESSAGE_SCHEMES, StackCache
 from .persistence import load_costream, save_costream
 from .training import CostModel, TrainingConfig, TrainingHistory
 
@@ -26,7 +25,7 @@ __all__ = [
     "mega_mergeable", "merge_batches",
     "balance_classes", "classification_accuracy",
     "q_error", "q_error_percentiles", "CostreamGNN", "MemberStack",
-    "TrainableMemberStack", "MESSAGE_SCHEMES",
+    "StackCache", "MESSAGE_SCHEMES",
     "CostModel", "TrainingConfig", "TrainingHistory", "load_costream",
     "save_costream",
 ]

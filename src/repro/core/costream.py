@@ -165,29 +165,24 @@ class Costream:
                                    selectivities)
         return collate_chunks(graphs, batch_size)
 
-    def merged_inference_batches(self, batches: list[GraphBatch],
-                                 metrics: tuple[str, ...] | None = None
+    def merged_inference_batches(self, batches: list[GraphBatch]
                                  ) -> list[GraphBatch]:
         """Fuse batches into one mega-batch when that is exactly safe.
 
         The cross-decision fast path (:mod:`repro.serving`, the
-        reordering optimizer): when every ensemble that will score the
-        batches runs the batched-GEMM member stack and every batch is
-        :func:`repro.core.graph.mega_mergeable` (no single-row GEMM
-        slices), the whole list merges into ONE
+        reordering optimizer): when the model runs the staged scheme
+        and every batch is :func:`repro.core.graph.mega_mergeable` (no
+        single-row GEMM slices), the whole list merges into ONE
         :func:`repro.core.graph.merge_batches` mega-batch whose
         predictions are bitwise identical to scoring the batches
         separately (the merged readout replays the original per-batch
-        GEMM shapes). Configurations outside that envelope — legacy
-        kernels, the ``traditional`` scheme, single-graph batches —
-        return the input list unchanged, so callers can always score
-        the result of this method.
+        GEMM shapes). Configurations outside that envelope — the
+        ``traditional`` scheme (merging reorders its neighbor-message
+        sums), single-graph batches — return the input list unchanged,
+        so callers can always score the result of this method.
         """
-        if len(batches) <= 1:
+        if len(batches) <= 1 or self.config.scheme != "staged":
             return batches
-        for metric in (metrics or self.metrics):
-            if not self.ensembles[metric]._supports_batched():
-                return batches
         if not all(mega_mergeable(batch) for batch in batches):
             return batches
         return [merge_batches(batches)]

@@ -212,20 +212,6 @@ class StageSlice:
             self.__dict__["_flat_seg"] = cached
         return cached[1]
 
-    def flat_src(self, width: int) -> np.ndarray:
-        """Like :meth:`flat_seg` for the *backward* scatter: flat
-        indices routing per-edge gradients back into the message
-        sources' rows of an ``(n_nodes, width)`` buffer.  Built once
-        per batch and shared — the per-member ``_scatter_add`` would
-        otherwise rebuild it once per member per step."""
-        cached = self.__dict__.get("_flat_src")
-        if cached is None or cached[0] != width:
-            flat = (self.edge_src[:, None] * width
-                    + np.arange(width, dtype=np.int64)).ravel()
-            cached = (width, flat)
-            self.__dict__["_flat_src"] = cached
-        return cached[1]
-
 
 @dataclass(frozen=True)
 class GraphBatch:
@@ -271,41 +257,73 @@ class GraphBatch:
         return _cast_features_cached(self.__dict__, self.type_features,
                                      dtype)
 
-    def member_stage_plan(self, width: int, size: int) -> list[list[tuple]]:
-        """:meth:`stage_plan` tiled over ``size`` ensemble members,
-        cached per (width, size).
+    def round_stages(self, scheme: str):
+        """``(node_type, stage)`` for every non-empty receiver slice one
+        message-passing round updates, in order: the staged schedule
+        (ops->hw, hw->ops, then each flow level), or the
+        ``traditional`` scheme's neighbor slices."""
+        steps = ((self.ops_to_hw, self.hw_to_ops, *self.flow_levels)
+                 if scheme == "staged" else (self.neighbor_rounds,))
+        for slices in steps:
+            for node_type, stage in slices.items():
+                if stage.recv_rows.size:
+                    yield node_type, stage
 
-        The batched member forward keeps its hidden states in one
+    def stage_plan(self, width: int, scheme: str = "staged"
+                   ) -> list[tuple]:
+        """Flattened update schedule of one round, cached per batch.
+
+        Entries are ``(node_type, recv_rows, edge_src, flat_seg,
+        n_recv)`` in :meth:`round_stages` order, with ``edge_src=None``
+        for edgeless receivers.  A decision reuses one batch across 3
+        metrics, so the schedule (and its scatter indices) is built
+        once.
+        """
+        key = (width, scheme)
+        cached = self.__dict__.get("_stage_plan")
+        if cached is None or cached[0] != key:
+            plan = []
+            for node_type, stage in self.round_stages(scheme):
+                has_edges = stage.edge_src.size > 0
+                plan.append((node_type, stage.recv_rows,
+                             stage.edge_src if has_edges else None,
+                             stage.flat_seg(width) if has_edges else None,
+                             stage.recv_rows.size))
+            cached = (key, plan)
+            self.__dict__["_stage_plan"] = cached
+        return cached[1]
+
+    def member_stage_plan(self, width: int, size: int,
+                          scheme: str = "staged") -> list[tuple]:
+        """:meth:`stage_plan` tiled over ``size`` ensemble members,
+        cached per (width, size, scheme).
+
+        The member-stack forward keeps its hidden states in one
         ``(size * n_nodes, width)`` buffer so every gather/scatter is a
         fast axis-0 fancy index; node rows are therefore tiled with a
         per-member offset of ``n_nodes`` (member ``k`` owns rows ``[k *
         n_nodes, (k + 1) * n_nodes)``), and the scatter-add flat
         indices with ``n_recv * width`` (see
         :func:`repro.nn.autodiff.stacked_flat_scatter_add`).  Entries
-        are ``(node_type, tiled_recv, tiled_src, tiled_flat_seg,
-        n_recv)`` with ``tiled_src``/``tiled_flat_seg`` ``None`` for
-        edgeless receivers.
+        keep the :meth:`stage_plan` layout.
         """
         if size == 1:
             # One member: every tiled index equals the untiled one, so
-            # the stage plan is shared as-is (same entry layout).
-            return self.stage_plan(width)
+            # the stage plan is shared as-is.
+            return self.stage_plan(width, scheme)
+        key = (width, size, scheme)
         cached = self.__dict__.get("_member_plan")
-        if cached is None or cached[0] != (width, size):
-            plan = []
-            for group in self.stage_plan(width):
-                tiled_group = []
-                for node_type, recv, src, flat_seg, n_recv in group:
-                    tiled_group.append((
-                        node_type,
-                        _tile_members(recv, self.n_nodes, size),
-                        _tile_members(src, self.n_nodes, size)
-                        if src is not None else None,
-                        _tile_members(flat_seg, n_recv * width, size)
-                        if src is not None else None,
-                        n_recv))
-                plan.append(tiled_group)
-            cached = ((width, size), plan)
+        if cached is None or cached[0] != key:
+            plan = [(node_type,
+                     _tile_members(recv, self.n_nodes, size),
+                     _tile_members(src, self.n_nodes, size)
+                     if src is not None else None,
+                     _tile_members(flat_seg, n_recv * width, size)
+                     if src is not None else None,
+                     n_recv)
+                    for node_type, recv, src, flat_seg, n_recv
+                    in self.stage_plan(width, scheme)]
+            cached = (key, plan)
             self.__dict__["_member_plan"] = cached
         return cached[1]
 
@@ -335,42 +353,36 @@ class GraphBatch:
             self.__dict__["_member_flat_gid"] = cached
         return cached[1]
 
-    def member_train_plan(self, size: int) -> list[tuple]:
-        """Row-tiled staged schedule for the stacked *training* step.
+    def member_train_plan(self, size: int, scheme: str = "staged"
+                          ) -> list[tuple]:
+        """Row-tiled update schedule for the stacked *training* step.
 
-        Flat (stage order) list of ``(node_type, stage, tiled_recv,
-        tiled_src, tiled_seg)`` entries — the gather/update indices of
-        a ``(size * n_nodes, width)`` hidden buffer, tiled at the ROW
-        level only.  Unlike the inference stacks'
+        Flat list of ``(node_type, stage, tiled_recv, tiled_src,
+        tiled_seg)`` entries in :meth:`round_stages` order — the
+        gather/update indices of a ``(size * n_nodes, width)`` hidden
+        buffer, tiled at the ROW level only.  Unlike
         :meth:`member_stage_plan`, no width-expanded scatter index is
         tiled across members: a training batch is consumed once, so
         the ``size * E * width`` flat-index builds would dominate the
-        step — the stacked backward instead loops K bincounts over the
-        batch-cached untiled :meth:`StageSlice.flat_seg` /
-        :meth:`StageSlice.flat_src` indices (cache-hot across
-        members).  ``tiled_seg`` maps each member's edges into the
+        step — the stacked step instead loops K bincounts over one
+        untiled flat index per update (cache-hot across members).  ``tiled_seg`` maps each member's edges into the
         flattened ``(size * n_recv, width)`` view of the per-receiver
         gradient stack.
         """
+        key = (size, scheme)
         cached = self.__dict__.get("_member_train_plan")
-        if cached is None or cached[0] != size:
+        if cached is None or cached[0] != key:
             plan = []
-            for slices in (self.ops_to_hw, self.hw_to_ops,
-                           *self.flow_levels):
-                for node_type, stage in slices.items():
-                    if stage.recv_rows.size == 0:
-                        continue
-                    has_edges = stage.edge_src.size > 0
-                    plan.append((
-                        node_type, stage,
-                        _tile_members(stage.recv_rows, self.n_nodes,
-                                      size),
-                        _tile_members(stage.edge_src, self.n_nodes,
-                                      size) if has_edges else None,
-                        _tile_members(stage.edge_seg,
-                                      stage.recv_rows.size, size)
-                        if has_edges else None))
-            cached = (size, plan)
+            for node_type, stage in self.round_stages(scheme):
+                has_edges = stage.edge_src.size > 0
+                plan.append((
+                    node_type, stage,
+                    _tile_members(stage.recv_rows, self.n_nodes, size),
+                    _tile_members(stage.edge_src, self.n_nodes, size)
+                    if has_edges else None,
+                    _tile_members(stage.edge_seg, stage.recv_rows.size,
+                                  size) if has_edges else None))
+            cached = (key, plan)
             self.__dict__["_member_train_plan"] = cached
         return cached[1]
 
@@ -382,35 +394,6 @@ class GraphBatch:
             cached = (size, _tile_members(self.graph_id, self.n_graphs,
                                           size))
             self.__dict__["_member_graph_rows"] = cached
-        return cached[1]
-
-    def stage_plan(self, width: int) -> list[list[tuple]]:
-        """Flattened staged-update schedule, cached per batch.
-
-        One list per stage (ops->hw, hw->ops, then each flow level);
-        each entry is ``(node_type, recv_rows, edge_src, flat_seg,
-        n_recv)`` with ``edge_src=None`` for edgeless receivers.  A
-        decision reuses one batch across 3 metrics x K members, so the
-        schedule (and its scatter indices) is built once.
-        """
-        cached = self.__dict__.get("_stage_plan")
-        if cached is None or cached[0] != width:
-            plan = []
-            for slices in (self.ops_to_hw, self.hw_to_ops,
-                           *self.flow_levels):
-                group = []
-                for node_type, stage in slices.items():
-                    if stage.recv_rows.size == 0:
-                        continue
-                    has_edges = stage.edge_src.size > 0
-                    group.append((node_type, stage.recv_rows,
-                                  stage.edge_src if has_edges else None,
-                                  stage.flat_seg(width) if has_edges
-                                  else None,
-                                  stage.recv_rows.size))
-                plan.append(group)
-            cached = (width, plan)
-            self.__dict__["_stage_plan"] = cached
         return cached[1]
 
 

@@ -16,6 +16,13 @@ combined with the node's own state and fed through a node-type-specific
 update MLP.  The *traditional* scheme (Exp 7b ablation) instead runs
 synchronous rounds where every node aggregates all of its neighbors,
 regardless of type and direction.
+
+:class:`CostreamGNN` holds one network's parameters and its taped
+(autodiff) forward, the gradient oracle of the test suite.  Every
+production forward and training step runs on a :class:`MemberStack`:
+K same-architecture networks (ensemble members, or a single model as
+K=1) stacked into 3-D weight tensors, with one array forward and one
+hand-written backward.
 """
 
 from __future__ import annotations
@@ -24,24 +31,22 @@ import numpy as np
 
 from ..nn import MLP, Module, StackedMLP, Tensor, concat, gather, \
     scatter_rows, segment_sum
-from ..nn.autodiff import (_legacy_kernels_enabled, _scatter_add,
+from ..nn.autodiff import (_legacy_kernels_enabled,
                            flat_scatter_add as _flat_scatter_add,
-                           gather_segment_sum, is_grad_enabled,
-                           stacked_flat_scatter_add)
+                           gather_segment_sum, stacked_flat_scatter_add)
 from ..nn.losses import _loss_and_grad_arrays
 from .features import Featurizer, NODE_TYPES
 from .graph import GraphBatch, StageSlice
 
-__all__ = ["CostreamGNN", "MemberStack", "TrainableMemberStack",
-           "MESSAGE_SCHEMES"]
+__all__ = ["CostreamGNN", "MemberStack", "StackCache", "MESSAGE_SCHEMES"]
 
 MESSAGE_SCHEMES = ("staged", "traditional")
 
 
 def _segmented_readout(readout, pooled: np.ndarray,
-                       segments: np.ndarray | None,
-                       axis: int) -> np.ndarray:
-    """Readout MLP over pooled states, one GEMM per merged segment.
+                       segments: np.ndarray | None) -> np.ndarray:
+    """Readout over ``(K, n_graphs, hidden)`` pooled member states,
+    one GEMM per merged segment.
 
     For directly collated batches (``segments is None``) this is one
     readout call.  For batches produced by
@@ -50,20 +55,17 @@ def _segmented_readout(readout, pooled: np.ndarray,
     (hidden, 1)`` GEMM is the one kernel whose per-row results depend
     on ``n`` (BLAS switches kernels with the row count), so the merged
     forward would otherwise drift from per-batch scoring at the last
-    ulp.  ``axis`` is the graph axis: 0 for ``(n_graphs, hidden)``
-    single-member pooled states, 1 for ``(K, n_graphs, hidden)`` member
-    stacks.
+    ulp.
     """
     if segments is None:
         return np.squeeze(readout.forward_array(pooled), axis=-1)
     outputs = []
     start = 0
-    index = [slice(None)] * pooled.ndim
     for count in segments:
-        index[axis] = slice(start, start + int(count))
-        outputs.append(readout.forward_array(pooled[tuple(index)]))
+        outputs.append(readout.forward_array(
+            pooled[:, start:start + int(count)]))
         start += int(count)
-    return np.squeeze(np.concatenate(outputs, axis=axis), axis=-1)
+    return np.squeeze(np.concatenate(outputs, axis=1), axis=-1)
 
 
 class CostreamGNN(Module):
@@ -75,50 +77,27 @@ class CostreamGNN(Module):
 
     def __init__(self, featurizer: Featurizer | None = None,
                  hidden_dim: int = 48, seed: int = 0,
-                 scheme: str = "staged", traditional_rounds: int = 3,
-                 dropout: float = 0.0):
+                 scheme: str = "staged", traditional_rounds: int = 3):
         if scheme not in MESSAGE_SCHEMES:
             raise ValueError(f"unknown message-passing scheme {scheme!r}")
         self.featurizer = featurizer or Featurizer()
         self.hidden_dim = hidden_dim
         self.scheme = scheme
         self.traditional_rounds = traditional_rounds
-        self.training = True
         rng = np.random.default_rng(seed)
         self.encoders: dict[str, MLP] = {
             node_type: MLP(self.featurizer.feature_dim(node_type),
-                           [hidden_dim], hidden_dim, rng, dropout=dropout)
+                           [hidden_dim], hidden_dim, rng)
             for node_type in NODE_TYPES}
         self.combiners: dict[str, MLP] = {
-            node_type: MLP(2 * hidden_dim, [hidden_dim], hidden_dim, rng,
-                           dropout=dropout)
+            node_type: MLP(2 * hidden_dim, [hidden_dim], hidden_dim, rng)
             for node_type in NODE_TYPES}
-        self.readout = MLP(hidden_dim, [hidden_dim], 1, rng,
-                           dropout=dropout)
-
-    # ------------------------------------------------------------------
-    def train(self) -> None:
-        self.training = True
-        for module in self._mlps():
-            module.train()
-
-    def eval(self) -> None:
-        self.training = False
-        for module in self._mlps():
-            module.eval()
-
-    def _mlps(self):
-        yield from self.encoders.values()
-        yield from self.combiners.values()
-        yield self.readout
+        self.readout = MLP(hidden_dim, [hidden_dim], 1, rng)
 
     # ------------------------------------------------------------------
     def forward(self, batch: GraphBatch) -> Tensor:
-        if not self.training and not is_grad_enabled():
-            # Inference fast path: no tape will be consumed, so run the
-            # identical arithmetic on raw arrays without building any
-            # autodiff objects at all.
-            return Tensor(self._forward_arrays(batch))
+        """The taped forward: the reference every :class:`MemberStack`
+        forward and gradient is tested against."""
         hidden = self._encode(batch)
         if self.scheme == "staged":
             hidden = self._apply_stage(hidden, batch.ops_to_hw)
@@ -132,7 +111,6 @@ class CostreamGNN(Module):
         pooled = segment_sum(hidden, batch.graph_id, batch.n_graphs)
         return self.readout(pooled).squeeze(-1)
 
-    # ------------------------------------------------------------------
     def _encode(self, batch: GraphBatch) -> Tensor:
         hidden = Tensor(np.zeros((batch.n_nodes, self.hidden_dim)))
         for node_type, rows in batch.type_rows.items():
@@ -141,159 +119,6 @@ class CostreamGNN(Module):
             hidden = scatter_rows(hidden, rows, states)
         return hidden
 
-    # ------------------------------------------------------------------
-    # Array-only inference path (no autodiff objects)
-    # ------------------------------------------------------------------
-    def _forward_arrays(self, batch: GraphBatch) -> np.ndarray:
-        """Same computation as the taped forward, on plain ndarrays.
-
-        Every expression mirrors the Tensor ops one-to-one (same kernel,
-        same operand order), so outputs are bitwise identical to the
-        taped path in eval mode.
-        """
-        hidden_dim = self.hidden_dim
-        hidden = np.zeros((batch.n_nodes, hidden_dim))
-        for node_type, rows in batch.type_rows.items():
-            hidden[rows] = self.encoders[node_type].forward_array(
-                batch.type_features[node_type])
-        if self.scheme == "staged":
-            # Staged updates read post-update states anyway, and
-            # ``hidden`` is a local buffer — update it in place,
-            # following the flattened schedule cached on the batch.
-            combiners = self.combiners
-            for group in batch.stage_plan(hidden_dim):
-                for node_type, recv, src, flat_seg, n_recv in group:
-                    if src is not None:
-                        aggregated = _flat_scatter_add(
-                            flat_seg, hidden[src], n_recv)
-                    else:
-                        aggregated = np.zeros((n_recv, hidden_dim))
-                    combined = np.concatenate(
-                        [aggregated, hidden[recv]], axis=-1)
-                    hidden[recv] = \
-                        combiners[node_type].forward_array(combined)
-        else:
-            for _ in range(self.traditional_rounds):
-                hidden = self._apply_stage_arrays(hidden,
-                                                  batch.neighbor_rounds,
-                                                  simultaneous=True)
-        pooled = _flat_scatter_add(batch.flat_graph_id(self.hidden_dim),
-                                   hidden, batch.n_graphs)
-        return _segmented_readout(self.readout, pooled,
-                                  batch.readout_segments, axis=0)
-
-    def _apply_stage_arrays(self, hidden: np.ndarray,
-                            slices: dict[str, StageSlice],
-                            simultaneous: bool = False) -> np.ndarray:
-        out = hidden.copy()
-        # Staged updates read the partially-updated states (the taped
-        # path re-points ``source`` after every slice); the traditional
-        # rounds read the pre-update states throughout.
-        source = hidden if simultaneous else out
-        for node_type, stage in slices.items():
-            if stage.recv_rows.size == 0:
-                continue
-            if stage.edge_src.size:
-                messages = source[stage.edge_src]
-                aggregated = _flat_scatter_add(
-                    stage.flat_seg(self.hidden_dim), messages,
-                    stage.recv_rows.size)
-            else:
-                aggregated = np.zeros((stage.recv_rows.size,
-                                       self.hidden_dim))
-            own = source[stage.recv_rows]
-            combined = np.concatenate([aggregated, own], axis=-1)
-            out[stage.recv_rows] = \
-                self.combiners[node_type].forward_array(combined)
-        return out
-
-    # ------------------------------------------------------------------
-    # Manual training step (tape-free forward + backward)
-    # ------------------------------------------------------------------
-    def supports_manual_step(self) -> bool:
-        """Whether :meth:`loss_and_grad` covers this configuration."""
-        dropout_active = any(
-            m.dropout is not None and m.dropout.rate > 0.0
-            for m in self._mlps())
-        return (self.scheme == "staged" and not dropout_active
-                and not _legacy_kernels_enabled())
-
-    def loss_and_grad(self, batch: GraphBatch, labels: np.ndarray,
-                      loss_kind: str) -> float:
-        """One training step without the autodiff tape.
-
-        Forward and backward are written out by hand for the staged
-        scheme, replaying the exact kernels of the taped path in the
-        exact reverse order the tape would execute, so the loss value
-        and every parameter gradient are bitwise identical to
-        ``loss.backward()`` — with none of the per-op bookkeeping.
-        Gradients accumulate into ``param.grad`` as usual.
-        """
-        hidden_dim = self.hidden_dim
-        hidden = np.zeros((batch.n_nodes, hidden_dim))
-        encode_cache = []
-        for node_type, rows in batch.type_rows.items():
-            out, cache = self.encoders[node_type].forward_array_cached(
-                batch.type_features[node_type])
-            hidden[rows] = out
-            encode_cache.append((node_type, rows, cache))
-
-        update_cache = []
-        for slices in (batch.ops_to_hw, batch.hw_to_ops,
-                       *batch.flow_levels):
-            for node_type, stage in slices.items():
-                if stage.recv_rows.size == 0:
-                    continue
-                if stage.edge_src.size:
-                    messages = hidden[stage.edge_src]
-                    aggregated = _flat_scatter_add(
-                        stage.flat_seg(hidden_dim), messages,
-                        stage.recv_rows.size)
-                else:
-                    aggregated = np.zeros((stage.recv_rows.size,
-                                           hidden_dim))
-                own = hidden[stage.recv_rows]
-                combined = np.concatenate([aggregated, own], axis=-1)
-                out, cache = self.combiners[node_type] \
-                    .forward_array_cached(combined)
-                hidden[stage.recv_rows] = out
-                update_cache.append((node_type, stage, cache))
-
-        pooled = _flat_scatter_add(batch.flat_graph_id(hidden_dim),
-                                   hidden, batch.n_graphs)
-        raw, readout_cache = self.readout.forward_array_cached(pooled)
-        pred = np.squeeze(raw, axis=-1)
-        loss_value, grad_pred = _loss_and_grad_arrays(pred, labels,
-                                                      loss_kind)
-
-        # Backward sweep: exact reverse of the forward op order.  Each
-        # hidden version's gradient receives its three contributions in
-        # the tape's order: scatter base (recv rows zeroed), own-state
-        # gather, then message aggregation.
-        grad_pooled = self.readout.backward_array(
-            grad_pred.reshape(-1, 1), readout_cache)
-        grad_hidden = grad_pooled[batch.graph_id]
-        for node_type, stage, cache in reversed(update_cache):
-            recv = stage.recv_rows
-            grad_updated = grad_hidden[recv]
-            grad_hidden[recv] = 0.0
-            grad_combined = self.combiners[node_type].backward_array(
-                grad_updated, cache)
-            grad_own = grad_combined[:, hidden_dim:]
-            grad_hidden += _scatter_add(recv, grad_own, batch.n_nodes)
-            if stage.edge_src.size:
-                grad_agg = grad_combined[:, :hidden_dim]
-                grad_hidden += _scatter_add(stage.edge_src,
-                                            grad_agg[stage.edge_seg],
-                                            batch.n_nodes)
-        for node_type, rows, cache in reversed(encode_cache):
-            self.encoders[node_type].backward_array(
-                grad_hidden[rows], cache, input_grad=False)
-        return loss_value
-
-    # ------------------------------------------------------------------
-    # Taped message passing (training path)
-    # ------------------------------------------------------------------
     def _apply_stage(self, hidden: Tensor,
                      slices: dict[str, StageSlice],
                      simultaneous: bool = False) -> Tensor:
@@ -324,25 +149,23 @@ class CostreamGNN(Module):
 
 
 class MemberStack:
-    """K ensemble members' weights stacked for batched-GEMM inference.
+    """K same-architecture networks stacked: the GNN array engine.
 
-    Where :meth:`CostreamGNN._forward_arrays` runs one member's staged
-    forward on ``(n, d)`` activations, this runs every member at once
-    on ``(K, n, d)`` stacks: every encoder/combiner/readout GEMM is a
-    single ``np.matmul`` over stacked weights
-    (:class:`repro.nn.StackedMLP`), and the message scatter-adds are
-    one member-tiled bincount
-    (:func:`repro.nn.autodiff.stacked_flat_scatter_add`).  Each
-    batched kernel is bitwise identical per member to the per-member
-    kernel, so with float64 stacks :meth:`forward_arrays` equals
-    stacking K :meth:`CostreamGNN._forward_arrays` calls bit for bit —
-    the equivalence `tests/test_ensemble_batched.py` asserts.
+    Every encoder/combiner/readout GEMM runs once over ``(K, n, d)``
+    activations and stacked weights (:class:`repro.nn.StackedMLP`), so
+    ensemble members — or a single :class:`~repro.core.training.
+    CostModel` as K=1 — share one forward and one manual training step
+    (:meth:`loss_and_grad`).  Each batched kernel replays the 2-D
+    kernel of the taped :meth:`CostreamGNN.forward` per member slice,
+    so float64 outputs, losses and gradients are bitwise identical to
+    the per-member tape (``tests/test_tape_oracle.py``).
 
-    A stack is a read-only *snapshot* of the member weights (copied,
-    and cast once when ``dtype`` is float32).  Only the ``staged``
-    scheme is supported — callers gate on
-    :meth:`MetricEnsemble._supports_batched` and fall back to the
-    per-member reference otherwise.
+    Weights are *copied* in at construction (cast once when ``dtype``
+    is float32 — :class:`repro.nn.float32_inference`).  float64 stacks
+    are also trainable: their weights are gradient-carrying Tensors
+    (:meth:`parameters`), stepped in place by
+    :class:`repro.nn.StackedAdam`, and member slices are written back
+    through :meth:`member_state` + ``load_state_dict``.
     """
 
     def __init__(self, networks: list[CostreamGNN],
@@ -353,16 +176,19 @@ class MemberStack:
         for network in networks[1:]:
             if (network.hidden_dim != template.hidden_dim
                     or network.scheme != template.scheme
+                    or network.traditional_rounds
+                    != template.traditional_rounds
                     or set(network.encoders) != set(template.encoders)):
                 raise ValueError(
                     "cannot stack networks with mismatched "
                     "architectures")
-        if template.scheme != "staged":
-            raise ValueError(
-                f"MemberStack supports the 'staged' scheme only, "
-                f"got {template.scheme!r}")
         self.size = len(networks)
         self.hidden_dim = template.hidden_dim
+        self.scheme = template.scheme
+        # Staged updates are one round; traditional rounds repeat the
+        # neighbor update.
+        self.rounds = (1 if self.scheme == "staged"
+                       else template.traditional_rounds)
         self.dtype = np.dtype(dtype)
         self.encoders = {
             node_type: StackedMLP.from_mlps(
@@ -374,7 +200,33 @@ class MemberStack:
             for node_type in template.combiners}
         self.readout = StackedMLP.from_mlps(
             [n.readout for n in networks], self.dtype)
+        if self.dtype == np.float64:
+            for mlp in self._stacked_mlps():
+                mlp.make_trainable()
+        self._member_shapes = [param.data.shape
+                               for param in template.parameters()]
 
+    def _stacked_mlps(self):
+        """Stacked MLPs in :meth:`CostreamGNN.parameters` order."""
+        yield from self.encoders.values()
+        yield from self.combiners.values()
+        yield self.readout
+
+    def parameters(self) -> list[Tensor]:
+        """Stacked parameter Tensors (float64 stacks only), ordered so
+        index ``i`` stacks the member networks' ``parameters()[i]``."""
+        return [param for mlp in self._stacked_mlps()
+                for param in mlp.trainable_parameters()]
+
+    def member_state(self, member: int) -> dict[str, np.ndarray]:
+        """One member's parameter slices as a
+        :meth:`~repro.nn.Module.state_dict` (member-shaped copies)."""
+        return {f"p{i}": param.data[member].reshape(shape).copy()
+                for i, (param, shape)
+                in enumerate(zip(self.parameters(),
+                                 self._member_shapes))}
+
+    # ------------------------------------------------------------------
     def _aggregate(self, flat_index: np.ndarray, values: np.ndarray,
                    n_rows: int) -> np.ndarray:
         """Member-stacked scatter-add, cast back to the stack dtype.
@@ -389,14 +241,17 @@ class MemberStack:
             out = out.astype(self.dtype)
         return out
 
-    def forward_arrays(self, batch: GraphBatch) -> np.ndarray:
+    def forward(self, batch: GraphBatch) -> np.ndarray:
         """All members' raw outputs for one batch: ``(K, n_graphs)``.
 
         The K members' hidden states live in one ``(K * n_nodes,
         hidden_dim)`` buffer (member ``k`` owns the rows ``[k * n_nodes,
         (k + 1) * n_nodes)``): gathers and scatters are single axis-0
-        fancy indexes over member-tiled row indices cached on the batch,
-        and only the GEMM inputs are viewed as ``(K, n, d)`` stacks.
+        fancy indexes over member-tiled row indices cached on the batch
+        (:meth:`~repro.core.graph.GraphBatch.member_stage_plan`), each
+        message scatter-add is one member-tiled bincount, and only the
+        GEMM inputs are viewed as ``(K, n, d)`` stacks.  Inference and
+        the per-epoch validation pass both run here.
         """
         size = self.size
         hidden_dim = self.hidden_dim
@@ -407,10 +262,14 @@ class MemberStack:
             hidden[rows] = self.encoders[node_type].forward_array(
                 features[node_type]).reshape(-1, hidden_dim)
         combiners = self.combiners
-        for group in batch.member_stage_plan(hidden_dim, size):
-            for node_type, recv, src, flat_seg, n_recv in group:
+        plan = batch.member_stage_plan(hidden_dim, size, self.scheme)
+        for _ in range(self.rounds):
+            # Staged updates read the states updated so far, in place;
+            # a traditional round reads its pre-round states.
+            source = hidden if self.scheme == "staged" else hidden.copy()
+            for node_type, recv, src, flat_seg, n_recv in plan:
                 if src is not None:
-                    messages = hidden[src].reshape(size, -1, hidden_dim)
+                    messages = source[src].reshape(size, -1, hidden_dim)
                     aggregated = self._aggregate(flat_seg, messages,
                                                  n_recv)
                 else:
@@ -418,7 +277,7 @@ class MemberStack:
                                           dtype=self.dtype)
                 combined = np.concatenate(
                     [aggregated,
-                     hidden[recv].reshape(size, n_recv, hidden_dim)],
+                     source[recv].reshape(size, n_recv, hidden_dim)],
                     axis=-1)
                 hidden[recv] = combiners[node_type].forward_array(
                     combined).reshape(-1, hidden_dim)
@@ -426,90 +285,44 @@ class MemberStack:
             batch.member_flat_graph_id(hidden_dim, size),
             hidden.reshape(size, n_nodes, hidden_dim), batch.n_graphs)
         return _segmented_readout(self.readout, pooled,
-                                  batch.readout_segments, axis=1)
+                                  batch.readout_segments)
 
-
-class TrainableMemberStack(MemberStack):
-    """A *live* member stack: K members trained in one batched step.
-
-    Where :class:`MemberStack` is a read-only inference snapshot, this
-    stack owns gradient-carrying parameter Tensors (``(K, fan_in,
-    fan_out)`` weight stacks, stepped in place by
-    :class:`repro.nn.StackedAdam`) and runs the K members' manual
-    training step — :meth:`CostreamGNN.loss_and_grad` — as ONE stacked
-    forward/backward per mini-batch: stacked GEMMs
-    (:meth:`repro.nn.StackedMLP.backward_array`), shared-index
-    gathers, per-member bincount scatter-adds over one cache-hot flat
-    index, and per-member losses/gradients computed by the exact
-    per-member loss kernel.  Every batched kernel replays the
-    per-member kernel per slice, so — fed the same mini-batch — member
-    ``k``'s loss value and every parameter gradient are bitwise
-    identical to ``networks[k].loss_and_grad``; the
-    :class:`repro.training.StackedTrainer` equivalence tests pin the
-    whole trajectory down.
-
-    Construction *copies* the members' current weights in (preserving
-    each member's seed-derived initialization); the trainer writes
-    member slices back through :meth:`member_state` +
-    ``load_state_dict`` when training ends.  float64 and the ``staged``
-    scheme only, like the manual step it mirrors.
-    """
-
-    def __init__(self, networks: list[CostreamGNN]):
-        super().__init__(networks, np.float64)
-        for mlp in self._stacked_mlps():
-            mlp.make_trainable()
-        self._member_shapes = [param.data.shape
-                               for param in networks[0].parameters()]
-
-    def _stacked_mlps(self):
-        """Stacked MLPs in :meth:`CostreamGNN.parameters` order."""
-        yield from self.encoders.values()
-        yield from self.combiners.values()
-        yield self.readout
-
-    def parameters(self) -> list:
-        """Stacked parameter Tensors, ordered so index ``i`` stacks the
-        member networks' ``parameters()[i]``."""
-        return [param for mlp in self._stacked_mlps()
-                for param in mlp.trainable_parameters()]
-
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
-    def member_state(self, member: int) -> dict[str, np.ndarray]:
-        """One member's parameter slices as a
-        :meth:`~repro.nn.Module.state_dict` (member-shaped copies)."""
-        return {f"p{i}": param.data[member].reshape(shape).copy()
-                for i, (param, shape)
-                in enumerate(zip(self.parameters(),
-                                 self._member_shapes))}
+    def loss_over_batches(self, pairs, loss_kind: str) -> np.ndarray:
+        """``(K,)`` graph-count-weighted mean losses over pre-collated
+        ``(batch, labels)`` pairs."""
+        total = np.zeros(self.size)
+        count = 0
+        for batch, chunk_labels in pairs:
+            raw = self.forward(batch).reshape(self.size, -1)
+            for member in range(self.size):
+                loss, _ = _loss_and_grad_arrays(raw[member],
+                                                chunk_labels, loss_kind)
+                total[member] += loss * batch.n_graphs
+            count += batch.n_graphs
+        return total / max(count, 1)
 
     # ------------------------------------------------------------------
     def loss_and_grad(self, batch: GraphBatch, labels: np.ndarray,
                       loss_kind: str) -> np.ndarray:
-        """One stacked training step; returns the ``(K,)`` loss values.
+        """One training step; returns the ``(K,)`` loss values.
 
-        The member-stacked mirror of :meth:`CostreamGNN.loss_and_grad`.
-        The K members' hidden states live in one ``(K * n_nodes,
-        hidden)`` buffer so every gather and row update is a fast
-        axis-0 fancy index over row-tiled node indices
-        (:meth:`~repro.core.graph.GraphBatch.member_train_plan` — row
-        tiling only: the ``size * E * width`` flat-index expansion the
-        inference stacks cache would never amortize on a batch that is
-        consumed once).  Every GEMM runs stacked over the ``(K, n,
-        d)`` member axis (:class:`repro.nn.StackedMLP` — per-slice
-        bitwise identical to the per-member GEMMs); every scatter-add
-        loops the per-member bincount kernel over the batch-cached
-        untiled flat index (cache-hot across members), so the
-        per-member equivalence is literal.  Losses and output
-        gradients come from the per-member loss kernel; gradients
-        accumulate into the stacked parameter Tensors.
+        Forward and backward are written out by hand, replaying the
+        kernels of the taped path in the order the tape executes them,
+        so every member's loss value and parameter gradients are
+        bitwise identical to the taped backward pass of its own
+        network.  Gathers and row updates index one ``(K * n_nodes,
+        hidden)`` buffer through row-tiled indices
+        (:meth:`~repro.core.graph.GraphBatch.member_train_plan`); every
+        GEMM runs stacked over the member axis; every scatter-add loops
+        the per-member bincount kernel over one untiled flat index.
+        Losses and output gradients come from the per-member loss
+        kernel; gradients accumulate into the stacked parameter
+        Tensors (float64 stacks only).
         """
         size = self.size
         hidden_dim = self.hidden_dim
         n_nodes = batch.n_nodes
+        staged = self.scheme == "staged"
         hidden = np.zeros((size * n_nodes, hidden_dim))
         hidden3 = hidden.reshape(size, n_nodes, hidden_dim)
         encode_cache = []
@@ -519,26 +332,31 @@ class TrainableMemberStack(MemberStack):
             hidden[rows] = out.reshape(-1, hidden_dim)
             encode_cache.append((node_type, rows, cache))
 
-        update_cache = []
         combiners = self.combiners
-        for entry in batch.member_train_plan(size):
-            node_type, stage, recv, src, _ = entry
-            n_recv = stage.recv_rows.size
-            if src is not None:
-                messages = hidden[src].reshape(size, -1, hidden_dim)
-                flat_seg = stage.flat_seg(hidden_dim)
-                aggregated = np.empty((size, n_recv, hidden_dim))
-                for k in range(size):
-                    aggregated[k] = _flat_scatter_add(
-                        flat_seg, messages[k], n_recv)
-            else:
-                aggregated = np.zeros((size, n_recv, hidden_dim))
-            own = hidden[recv].reshape(size, n_recv, hidden_dim)
-            combined = np.concatenate([aggregated, own], axis=-1)
-            out, cache = combiners[node_type].forward_array_cached(
-                combined)
-            hidden[recv] = out.reshape(-1, hidden_dim)
-            update_cache.append((entry, cache))
+        plan = batch.member_train_plan(size, self.scheme)
+        round_caches = []
+        for _ in range(self.rounds):
+            source = hidden if staged else hidden.copy()
+            caches = []
+            for entry in plan:
+                node_type, stage, recv, src, _ = entry
+                n_recv = stage.recv_rows.size
+                combined = np.empty((size, n_recv, 2 * hidden_dim))
+                if src is not None:
+                    messages = source[src].reshape(size, -1, hidden_dim)
+                    flat_seg = stage.flat_seg(hidden_dim)
+                    for k in range(size):
+                        combined[k, :, :hidden_dim] = _flat_scatter_add(
+                            flat_seg, messages[k], n_recv)
+                else:
+                    combined[:, :, :hidden_dim] = 0.0
+                combined[:, :, hidden_dim:] = source[recv].reshape(
+                    size, n_recv, hidden_dim)
+                out, cache = combiners[node_type].forward_array_cached(
+                    combined)
+                hidden[recv] = out.reshape(-1, hidden_dim)
+                caches.append((entry, cache))
+            round_caches.append(caches)
 
         flat_gid = batch.flat_graph_id(hidden_dim)
         pooled = np.empty((size, batch.n_graphs, hidden_dim))
@@ -550,9 +368,6 @@ class TrainableMemberStack(MemberStack):
         losses = np.empty(size)
         grad_pred = np.empty_like(pred)
         for k in range(size):
-            # The per-member loss kernel on the member's contiguous
-            # prediction slice: values and gradients are the per-member
-            # step's, by construction.
             losses[k], grad_pred[k] = _loss_and_grad_arrays(
                 pred[k], labels, loss_kind)
 
@@ -560,102 +375,94 @@ class TrainableMemberStack(MemberStack):
             grad_pred[:, :, None], readout_cache)
         grad_hidden = grad_pooled.reshape(-1, hidden_dim)[
             batch.member_graph_rows(size)]
+        # The tape adds each update's dense scatter-add arrays to the
+        # whole gradient, turning every -0.0 into +0.0; one ``+= 0.0``
+        # here does the same, after which no -0.0 can arise (x + y is
+        # -0.0 only for x = y = -0.0), so the own-state gradients below
+        # add to their rows only.
+        grad_hidden += 0.0
         grad_hidden3 = grad_hidden.reshape(size, n_nodes, hidden_dim)
-        own_dense = np.zeros((size * n_nodes, hidden_dim))
-        for entry, cache in reversed(update_cache):
-            node_type, stage, recv, src, seg = entry
-            grad_updated = grad_hidden[recv].reshape(
-                size, stage.recv_rows.size, hidden_dim)
-            grad_hidden[recv] = 0.0
-            grad_combined = combiners[node_type].backward_array(
-                grad_updated, cache)
-            grad_own = grad_combined[:, :, hidden_dim:]
-            # Receiver rows are unique, so the reference's
-            # ``_scatter_add(recv, grad_own, n)`` dense array is
-            # ``0.0 + grad_own`` at the recv rows and 0.0 elsewhere —
-            # row assignment reproduces the bincount output bit for
-            # bit (IEEE addition is commutative), with no flat index.
-            own_dense[recv] = np.add(grad_own, 0.0) \
-                .reshape(-1, hidden_dim)
-            grad_hidden += own_dense
-            own_dense[recv] = 0.0
-            if src is not None:
-                grad_agg = grad_combined[:, :, :hidden_dim]
-                grad_messages = grad_agg.reshape(-1, hidden_dim)[seg] \
-                    .reshape(size, -1, hidden_dim)
-                flat_src = stage.flat_src(hidden_dim)
-                for k in range(size):
-                    grad_hidden3[k] += _flat_scatter_add(
-                        flat_src, grad_messages[k], n_nodes)
+        for caches in reversed(round_caches):
+            # A backward step covers the updates that read one source
+            # state: each staged update reads its predecessor's output,
+            # a traditional round reads one pre-round state.  The
+            # source's gradient receives, in the tape's order, the
+            # scatter base (updated rows zeroed), then per update its
+            # message aggregation and its own-state gather.
+            steps = ([[item] for item in reversed(caches)] if staged
+                     else [caches])
+            for step in steps:
+                grad_updated = [
+                    grad_hidden[entry[2]].reshape(size, -1, hidden_dim)
+                    for entry, _ in step]
+                for entry, _ in step:
+                    grad_hidden[entry[2]] = 0.0
+                for (entry, cache), grad_out in zip(step, grad_updated):
+                    node_type, stage, recv, src, seg = entry
+                    grad_combined = combiners[node_type].backward_array(
+                        grad_out, cache)
+                    if src is not None:
+                        grad_messages = grad_combined[
+                            :, :, :hidden_dim].reshape(-1, hidden_dim)[
+                            seg].reshape(size, -1, hidden_dim)
+                        # Built per step, not cached on the batch: a
+                        # training batch is consumed once.
+                        flat_src = (stage.edge_src[:, None] * hidden_dim
+                                    + np.arange(hidden_dim)).ravel()
+                        for k in range(size):
+                            grad_hidden3[k] += _flat_scatter_add(
+                                flat_src, grad_messages[k], n_nodes)
+                    # Receiver rows are unique: the tape's dense
+                    # ``_scatter_add(recv, grad_own, n)`` only adds at
+                    # them.
+                    grad_hidden[recv] += grad_combined[
+                        :, :, hidden_dim:].reshape(-1, hidden_dim)
         for node_type, rows, cache in reversed(encode_cache):
             self.encoders[node_type].backward_array(
                 grad_hidden[rows].reshape(size, -1, hidden_dim), cache,
                 input_grad=False)
         return losses
 
-    def forward_members(self, batch: GraphBatch) -> np.ndarray:
-        """Forward-only stacked pass over the *training* plan buffers.
 
-        The forward half of :meth:`loss_and_grad` without the caches —
-        used for the per-epoch validation forward, so validation never
-        round-trips through the inference :class:`MemberStack` (whose
-        member-tiled ``size * E * width`` flat indexes a training run
-        has no other use for).  Every kernel is the one
-        :meth:`MemberStack.forward_arrays` runs per member (same
-        stacked GEMMs, per-member bincount over the same flat index,
-        same segmented readout), so the ``(K, n_graphs)`` outputs are
-        bitwise identical to the inference stack's.
-        """
-        size = self.size
-        hidden_dim = self.hidden_dim
-        n_nodes = batch.n_nodes
-        hidden = np.zeros((size * n_nodes, hidden_dim))
-        hidden3 = hidden.reshape(size, n_nodes, hidden_dim)
-        for node_type, rows in batch.member_type_rows(size).items():
-            hidden[rows] = self.encoders[node_type].forward_array(
-                batch.type_features[node_type]).reshape(-1, hidden_dim)
-        combiners = self.combiners
-        for entry in batch.member_train_plan(size):
-            node_type, stage, recv, src, _ = entry
-            n_recv = stage.recv_rows.size
-            if src is not None:
-                messages = hidden[src].reshape(size, -1, hidden_dim)
-                flat_seg = stage.flat_seg(hidden_dim)
-                aggregated = np.empty((size, n_recv, hidden_dim))
-                for k in range(size):
-                    aggregated[k] = _flat_scatter_add(
-                        flat_seg, messages[k], n_recv)
-            else:
-                aggregated = np.zeros((size, n_recv, hidden_dim))
-            own = hidden[recv].reshape(size, n_recv, hidden_dim)
-            combined = np.concatenate([aggregated, own], axis=-1)
-            hidden[recv] = combiners[node_type].forward_array(
-                combined).reshape(-1, hidden_dim)
-        flat_gid = batch.flat_graph_id(hidden_dim)
-        pooled = np.empty((size, batch.n_graphs, hidden_dim))
-        for k in range(size):
-            pooled[k] = _flat_scatter_add(flat_gid, hidden3[k],
-                                          batch.n_graphs)
-        return _segmented_readout(self.readout, pooled,
-                                  batch.readout_segments, axis=1)
+class StackCache:
+    """:class:`MemberStack` snapshots of fixed networks, per dtype.
 
-    def loss_over_batches(self, pairs, loss_kind: str) -> np.ndarray:
-        """``(K,)`` mean losses over pre-collated ``(batch, labels)``
-        pairs — the stacked mirror of
-        :meth:`~repro.core.training.CostModel._loss_over_batches`
-        (same per-batch loss values, same graph-count-weighted
-        accumulation order per member).  Runs :meth:`forward_members`
-        (the training-plan buffers, bitwise equal to the inference
-        stack's forward), so per-epoch validation shares the training
-        batch caches instead of building inference-stack indexes.
-        """
-        total = np.zeros(self.size)
-        count = 0
-        for batch, chunk_labels in pairs:
-            raw = self.forward_members(batch).reshape(self.size, -1)
-            for member in range(self.size):
-                loss, _ = _loss_and_grad_arrays(raw[member],
-                                                chunk_labels, loss_kind)
-                total[member] += loss * batch.n_graphs
-            count += batch.n_graphs
-        return total / max(count, 1)
+    A stack is rebuilt when any network's parameter array was
+    *replaced* since it was built: staleness is object identity
+    against the arrays the stacks were built from.  Strong references
+    are held, so a freed-and-reallocated array can never alias a stale
+    snapshot, and every ``load_state_dict`` (the end of each training
+    run, and persistence loading) replaces the arrays and is caught.
+    Only in-place writes to ``param.data`` need an explicit
+    :meth:`clear`.
+    """
+
+    def __init__(self, networks: list[CostreamGNN]):
+        self.networks = networks
+        self._stacks: dict[str, MemberStack] = {}
+        self._params: list[np.ndarray] | None = None
+        # The parameter Tensors are static after construction; caching
+        # them makes the per-call staleness check an identity sweep
+        # instead of a module-tree walk.
+        self._tensors: list[Tensor] | None = None
+
+    def clear(self) -> None:
+        self._stacks.clear()
+        self._params = None
+        self._tensors = None
+
+    def get(self, dtype=np.float64) -> MemberStack:
+        if self._tensors is None:
+            self._tensors = [param for network in self.networks
+                             for param in network.parameters()]
+        params = [param.data for param in self._tensors]
+        if self._params is None or any(
+                a is not b for a, b in zip(params, self._params)):
+            self._stacks.clear()
+            self._params = params
+        dtype = np.dtype(dtype)
+        stack = self._stacks.get(dtype.str)
+        if stack is None:
+            stack = MemberStack(self.networks, dtype)
+            self._stacks[dtype.str] = stack
+        return stack

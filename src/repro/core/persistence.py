@@ -97,7 +97,11 @@ def load_costream(path: str | Path) -> Costream:
         if header["format_version"] != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported model format {header['format_version']}")
-        config = TrainingConfig(**header["config"])
+        # Files written before the dropout option was removed still
+        # carry its (inference-irrelevant) value.
+        config = TrainingConfig(**{
+            key: value for key, value in header["config"].items()
+            if key != "dropout"})
         featurizer = Featurizer(header["featurizer_mode"])
         metrics = tuple(header["ensembles"])
         model = Costream(metrics=metrics, ensemble_size=1, config=config,
@@ -113,6 +117,5 @@ def load_costream(path: str | Path) -> Costream:
                     for key in archive.files
                     if key.startswith(f"{metric}/{index}/")}
                 member.network.load_state_dict(state)
-                member.network.eval()
             model.ensembles[metric] = ensemble
     return model

@@ -28,7 +28,8 @@ import numpy as np
 
 from ..data.collection import BenchmarkCollector
 from ..hardware.cluster import Cluster, sample_cluster
-from ..nn import Adam, clip_grad_norm, float32_inference
+from ..nn import (Adam, bce_with_logits_loss, clip_grad_norm,
+                  float32_inference, mse_loss, msle_loss)
 from ..nn.autodiff import legacy_kernels
 from ..nn.backend import ThreadedBlasBackend, compute_backend
 from ..core.costream import Costream
@@ -38,7 +39,7 @@ from ..core.graph import (QueryGraph, batches_equal, build_graph,
                           collate, collate_candidates,
                           collate_candidates_reference, collate_reference,
                           featurize_hosts, featurize_plan)
-from ..core.training import CostModel, TrainingConfig
+from ..core.training import CostModel, TrainingConfig, resolve_loss_kind
 from ..placement.enumeration import HeuristicPlacementEnumerator
 from ..placement.optimizer import PlacementOptimizer
 from ..placement.repair import PlacementRepairer
@@ -60,6 +61,11 @@ EQUIVALENCE_TOLERANCE = 1e-9
 FLOAT32_TOLERANCE = 5e-4
 
 _DECISION_METRICS = ("processing_latency", "success", "backpressure")
+
+#: The taped loss of each ``resolve_loss_kind`` value (the seed
+#: training loop's ``CostModel._loss``).
+_TAPED_LOSSES = {"msle": msle_loss, "mse": mse_loss,
+                 "bce": bce_with_logits_loss}
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -98,7 +104,6 @@ def _slow_member_predict(member: CostModel,
                          graphs: list[QueryGraph]) -> np.ndarray:
     """Original ``CostModel.predict``: per-call chunked loop collation,
     autodiff tape recorded and discarded."""
-    member.network.eval()
     outputs = []
     batch_size = member.config.batch_size
     for start in range(0, len(graphs), batch_size):
@@ -230,8 +235,8 @@ def _slow_fit_inner(metric: str, graphs: list[QueryGraph],
     sample_pool = np.arange(len(graphs))
     best_val = float("inf")
     best_state = model.network.state_dict()
+    loss_fn = _TAPED_LOSSES[resolve_loss_kind(config, model.is_regression)]
 
-    model.network.train()
     for epoch in range(config.epochs):
         optimizer.lr = config.learning_rate * (
             config.lr_decay ** (epoch // config.lr_decay_every))
@@ -242,7 +247,7 @@ def _slow_fit_inner(metric: str, graphs: list[QueryGraph],
             rows = epoch_order[start:start + config.batch_size]
             batch = collate_reference([graphs[i] for i in rows])
             output = model.network(batch)
-            loss = model._loss(output, labels[rows])
+            loss = loss_fn(output, labels[rows])
             optimizer.zero_grad()
             loss.backward()
             clip_grad_norm(model.network.parameters(), config.grad_clip)
@@ -253,23 +258,20 @@ def _slow_fit_inner(metric: str, graphs: list[QueryGraph],
 
         # Original evaluate_loss: re-collate the same validation
         # batches, forward with the tape recording.
-        model.network.eval()
         total, count = 0.0, 0
         for start in range(0, len(val_graphs), config.batch_size):
             chunk = val_graphs[start:start + config.batch_size]
             batch = collate_reference(chunk)
             output = model.network(batch)
-            loss = model._loss(output,
-                               val_labels[start:start + config.batch_size])
+            loss = loss_fn(output,
+                           val_labels[start:start + config.batch_size])
             total += loss.item() * len(chunk)
             count += len(chunk)
-        model.network.train()
         val_loss = total / max(count, 1)
         if val_loss < best_val - 1e-6:
             best_val = val_loss
             best_state = model.network.state_dict()
     model.network.load_state_dict(best_state)
-    model.network.eval()
     return history
 
 
@@ -304,9 +306,6 @@ def _bench_decisions(scale: ExperimentScale, repeats: int,
     model = Costream(metrics=_DECISION_METRICS,
                      ensemble_size=scale.ensemble_size, config=config,
                      seed=0)
-    for ensemble in model.ensembles.values():
-        for member in ensemble.members:
-            member.network.eval()
     optimizer = PlacementOptimizer(model, objective="processing_latency")
 
     rng = np.random.default_rng(17)
@@ -360,9 +359,6 @@ def _throughput_model(scale: ExperimentScale) -> Costream:
     model = Costream(metrics=_DECISION_METRICS,
                      ensemble_size=scale.ensemble_size, config=config,
                      seed=0)
-    for ensemble in model.ensembles.values():
-        for member in ensemble.members:
-            member.network.eval()
     return model
 
 
@@ -741,8 +737,9 @@ def _bench_ensemble(dataset: GraphDataset, scale: ExperimentScale,
 
     Both sides share one pre-collated batch (the PR-1 fast path), so
     the measured ratio isolates exactly the weight-stacking change: K
-    sequential member forwards vs one batched-GEMM forward.  The
-    float64 stack must match the per-member reference bitwise; the
+    member ``predict`` calls (K one-member stacks) vs one batched-GEMM
+    forward.  The float64 stack must match the per-member side
+    bitwise; the
     float32 stack must stay within :data:`FLOAT32_TOLERANCE`
     (relative).
     """
@@ -750,20 +747,20 @@ def _bench_ensemble(dataset: GraphDataset, scale: ExperimentScale,
     size = max(scale.ensemble_size, 3)
     ensemble = MetricEnsemble("processing_latency", size=size,
                               config=config, seed=0)
-    for member in ensemble.members:
-        member.network.eval()
     batch = collate(dataset.graphs[:config.batch_size])
+
+    def per_member():
+        return np.stack([m.predict(batch) for m in ensemble.members])
 
     # Warm every cache (stack build, stage plans, scatter indices)
     # outside the clock — one decision reuses them across 3 metrics.
     ensemble._member_predictions(batch)
-    ensemble._member_predictions_reference(batch)
+    per_member()
     batched_s, per_member_s = _interleaved(
-        lambda: ensemble._member_predictions(batch),
-        lambda: ensemble._member_predictions_reference(batch), repeats)
+        lambda: ensemble._member_predictions(batch), per_member, repeats)
 
     float64 = ensemble._member_predictions(batch)
-    reference = ensemble._member_predictions_reference(batch)
+    reference = per_member()
     float64_delta = float(np.max(np.abs(float64 - reference)))
     with float32_inference():
         ensemble._member_predictions(batch)  # cast caches, off-clock
@@ -821,30 +818,22 @@ def _bench_epoch(dataset: GraphDataset, scale: ExperimentScale,
 
 
 def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
-                          n_epochs: int, repeats: int = 3,
-                          pool_size: int = 0) -> dict:
+                          n_epochs: int, repeats: int = 3) -> dict:
     """Stacked K-member training vs the sequential member loop.
 
     Both sides train the same K freshly initialized members on the
     same schedule *draws*: every member fits under a
     :class:`~repro.training.BatchSchedule` seeded identically, so the
     splits, shuffles and mini-batches are the same everywhere and the
-    runs are bitwise comparable.  The sequential side
-    (:func:`repro.training.fit_members_sequential`, the retained
-    ``CostModel.fit`` loop) gives each member its OWN schedule
-    instance — K independent collation passes, exactly the cost the
-    pre-stacking ``MetricEnsemble.fit`` member loop paid — while the
+    runs are bitwise comparable.  The sequential side (K
+    ``CostModel.fit`` calls, each a one-member stack) gives each
+    member its OWN schedule instance, exactly the cost the
+    pre-stacking ``MetricEnsemble.fit`` member loop paid, while the
     stacked side shares one schedule across the ensemble, so the ratio
-    measures the full stacked-engine change: shared collation plus one
-    batched-GEMM forward/backward and one stacked Adam step per
-    mini-batch instead of K.  Equivalence is asserted bitwise:
-    per-member train/val loss trajectories must be identical (delta
-    0.0) and the final parameters must match array-for-array.
-
-    ``pool_size > 0`` additionally runs one pool-sharded
-    ``CostModel.fit`` on a fork-backed pool and on the serial fallback
-    (the same shard math in-process): both must produce bitwise-equal
-    loss trajectories — the nightly's pooled-training gate.
+    measures one batched-GEMM forward/backward and one stacked Adam
+    step per mini-batch instead of K.  Equivalence is asserted
+    bitwise: per-member train/val loss trajectories must be identical
+    (delta 0.0) and the final parameters must match array-for-array.
     """
     graphs, labels = dataset.metric_view("processing_latency")
     size = 3
@@ -896,7 +885,7 @@ def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
                                            slow_state[key])
                             for key in slow_state)
 
-    result = {
+    return {
         "ensemble_size": size,
         "n_graphs": len(graphs),
         "n_epochs": n_epochs,
@@ -907,24 +896,6 @@ def _bench_ensemble_train(dataset: GraphDataset, scale: ExperimentScale,
         "histories_equal": bool(histories_equal),
         "params_equal": bool(params_equal),
     }
-    if pool_size > 0:
-        pooled_histories = {}
-        pooled_health = {}
-        for label, serial in (("serial", True), ("fork", False)):
-            with WorkerPool(processes=pool_size, serial=serial) as pool:
-                model = CostModel("processing_latency", config=config,
-                                  seed=0)
-                pooled_histories[label] = list(
-                    model.fit(graphs, labels, pool=pool).train_loss)
-                pooled_health[label] = pool.health.as_dict()
-        result["pool"] = {
-            "processes": pool_size,
-            "matches_single_process": bool(
-                pooled_histories["fork"] == pooled_histories["serial"]),
-            # No-fault training must never take the degraded path.
-            "health": pooled_health["fork"],
-        }
-    return result
 
 
 def run_hotpath_benchmarks(scale_name: str | None = None,
@@ -985,8 +956,7 @@ def run_hotpath_benchmarks(scale_name: str | None = None,
     gc.collect()
     train_result = _bench_ensemble_train(dataset, scale,
                                          n_epochs=sizes["epochs"],
-                                         repeats=sizes["repeats"] + 1,
-                                         pool_size=pool_size)
+                                         repeats=sizes["repeats"] + 1)
 
     max_delta = max(decision_result["max_abs_prediction_delta"],
                     epoch_result["max_abs_train_loss_delta"],

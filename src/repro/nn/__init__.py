@@ -6,7 +6,7 @@ from .autodiff import (Tensor, concat, float32_inference, gather,
 from .backend import (ComputeBackend, ThreadedBlasBackend,
                       active_backend, active_backend_spec,
                       compute_backend, resolve_backend)
-from .layers import MLP, Dropout, Linear, Module, StackedMLP
+from .layers import MLP, Linear, Module, StackedMLP
 from .losses import bce_with_logits_loss, mse_loss, msle_loss
 from .optim import (Adam, SGD, StackedAdam, clip_grad_norm,
                     stacked_clip_grad_norm)
@@ -16,7 +16,7 @@ __all__ = [
     "no_grad", "is_grad_enabled", "float32_inference", "inference_dtype",
     "ComputeBackend", "ThreadedBlasBackend", "active_backend",
     "active_backend_spec", "compute_backend", "resolve_backend",
-    "Module", "Linear", "MLP", "Dropout", "StackedMLP",
+    "Module", "Linear", "MLP", "StackedMLP",
     "msle_loss", "mse_loss", "bce_with_logits_loss",
     "SGD", "Adam", "StackedAdam", "clip_grad_norm",
     "stacked_clip_grad_norm",

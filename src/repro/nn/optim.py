@@ -76,13 +76,11 @@ def stacked_clip_grad_norm(params: Sequence[Tensor], max_norm: float,
         if param.grad is not None:
             totals += kernel.member_sumsq(param.grad, size)
     norms = np.sqrt(totals)
-    clip = (norms > max_norm) & (norms > 0.0)
-    if clip.any():
-        scales = max_norm / norms[clip]
+    for member in np.flatnonzero((norms > max_norm) & (norms > 0.0)):
+        scale = max_norm / norms[member]
         for param in params:
             if param.grad is not None:
-                shape = (-1,) + (1,) * (param.grad.ndim - 1)
-                param.grad[clip] *= scales.reshape(shape)
+                param.grad[member] *= scale
     return norms
 
 

@@ -18,9 +18,9 @@ Guarantees (see PERFORMANCE.md):
 * under :class:`repro.nn.float32_inference` the whole wave runs
   float32 end-to-end (featurization, collation, GEMMs) within the
   documented decision-level tolerance;
-* configurations the mega-batch cannot serve exactly (legacy kernels,
-  the ``traditional`` scheme, single-graph candidate batches) fall
-  back to per-request scoring with identical results.
+* configurations the mega-batch cannot serve exactly (the
+  ``traditional`` scheme, single-graph candidate batches) fall back
+  to per-request scoring with identical results.
 """
 
 from __future__ import annotations

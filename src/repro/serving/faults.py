@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the serving/training pool.
+"""Deterministic fault injection for the serving pool.
 
 Chaos testing a process pool is usually flaky: a test kills a random
 worker at a random time and hopes the recovery path it wanted to
@@ -9,13 +9,13 @@ how many attempts; a :class:`FaultInjector` hands those faults to
 :class:`~repro.serving.pool.WorkerPool` at dispatch time, so a chaos
 test replays the identical failure sequence on every run — and the
 repo's bitwise-equivalence discipline supplies the recovery oracle:
-whatever faults are injected, the recovered wave or gradient step must
-be bit-identical to the no-fault serial reference.
+whatever faults are injected, the recovered wave must be
+bit-identical to the no-fault serial reference.
 
 Addressing: every pool dispatch stream is counted per operation kind
-(``"wave"`` waves, ``"grad"`` gradient steps).  A fault matches an
-``(op, step, shard, attempt)`` coordinate — step is the wave / grad
-step ordinal since the pool was created, shard is the index within
+(``"wave"`` waves).  A fault matches an ``(op, step, shard, attempt)``
+coordinate — step is the wave ordinal since the pool was created,
+shard is the index within
 that dispatch, and ``attempts`` is how many consecutive attempts of
 that shard fail (so a plan can exhaust the retry budget on purpose).
 
@@ -30,7 +30,7 @@ Fault classes:
   real sleeping in serial chaos tests).  The parent sees a per-shard
   timeout.
 * ``"corrupt"`` — the worker computes the real result and then
-  damages it (NaN objectives / NaN gradients), exercising the
+  damages it (NaN objectives), exercising the
   parent's shard-result validation.
 
 The degraded-mode fallback (the parent recomputing a shard in-process
@@ -78,7 +78,7 @@ class FaultSpec:
     """
 
     kind: str                  # "crash" | "hang" | "corrupt"
-    op: str = "any"            # "wave" | "grad" | "any"
+    op: str = "any"            # "wave" | "any"
     step: int | None = 0       # dispatch ordinal (None = every step)
     shard: int | None = 0      # shard index within the dispatch
     attempts: int = 1          # consecutive failing attempts
@@ -88,7 +88,7 @@ class FaultSpec:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"choose from {FAULT_KINDS}")
-        if self.op not in ("wave", "grad", "any"):
+        if self.op not in ("wave", "any"):
             raise ValueError(f"unknown fault op {self.op!r}")
         if self.attempts < 1:
             raise ValueError("a fault must fail at least one attempt")
@@ -204,20 +204,13 @@ def corrupt_wave_shard(decisions: list) -> list:
             for decision in decisions]
 
 
-def corrupt_grad_shard(result: tuple) -> tuple:
-    """Damage a gradient shard: NaN-fill loss and every gradient."""
-    _, grads, n_graphs = result
-    return (float("nan"),
-            [np.full_like(grad, np.nan) for grad in grads], n_graphs)
-
-
 # ----------------------------------------------------------------------
 # Health accounting
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class DegradedModeReport:
     """One shard that exhausted its retry budget and fell back to the
-    in-parent serial path (completing the wave / step regardless)."""
+    in-parent serial path (completing the wave regardless)."""
 
     op: str
     step: int
@@ -236,7 +229,6 @@ class PoolHealth:
     """
 
     waves: int = 0
-    grad_steps: int = 0
     shards_dispatched: int = 0
     retries: int = 0
     crashes: int = 0
@@ -245,7 +237,6 @@ class PoolHealth:
     restarts: int = 0
     degraded_shards: int = 0
     degraded_waves: int = 0
-    degraded_grad_steps: int = 0
     reports: list[DegradedModeReport] = field(default_factory=list)
 
     def record_failure(self, reason: str) -> None:

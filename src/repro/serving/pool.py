@@ -1,36 +1,26 @@
-"""Persistent worker pool for waves of decisions and gradient shards.
+"""Persistent worker pool for waves of decisions.
 
 The numpy substrate holds the GIL for most of a forward, so scaling
 past one core needs processes.  :class:`WorkerPool` wraps a persistent
 ``concurrent.futures.ProcessPoolExecutor`` (``fork`` start method),
-with **shared-memory parameter arrays** so neither serving nor
-training ever pickles weights:
-
-* **Decision waves** — the model is registered in a module-level table
-  *before* the executor forks its workers (inherited through fork's
-  copy-on-write memory), and its parameter values live in an
-  anonymous-``mmap`` :class:`_SharedBlock` both sides map.  A
-  staleness refresh — ``fit`` / ``load_state_dict`` replacing the
-  parameter arrays — no longer reforks the workers: the parent copies
-  the new values into the shared block and bumps its generation
-  counter; each worker syncs its copy-on-write model in place (and
-  invalidates its member stacks) when it sees the bump.  Only a
-  *different* model/objective (or changed parameter shapes) still
-  reforks.
-* **Gradient shards** — :func:`sharded_loss_and_grad` splits one
-  training mini-batch across the workers.  Worker network skeletons
-  alias their parameters directly to the shared block's views, so the
-  parent's pre-submit ``block.write`` is the only weight traffic per
-  step — the per-step ``state_dict`` pickling is gone.
+with **shared-memory parameter arrays** so serving never pickles
+weights: the model is registered in a module-level table *before* the
+executor forks its workers (inherited through fork's copy-on-write
+memory), and its parameter values live in an anonymous-``mmap``
+:class:`_SharedBlock` both sides map.  A staleness refresh — ``fit`` /
+``load_state_dict`` replacing the parameter arrays — does not refork
+the workers: the parent copies the new values into the shared block
+and bumps its generation counter; each worker syncs its copy-on-write
+model in place (and invalidates its member stacks) when it sees the
+bump.  Only a *different* model/objective (or changed parameter
+shapes) still reforks.
 
 Determinism: every request's decision is independent of how a wave is
 sharded (the mega-batch forward is bitwise row-invariant), so pooled
-waves equal single-process waves bitwise.  Gradient shards are
-combined in shard order, making pooled training reproducible for a
-fixed pool size; the serial fallback (``serial=True``, the
-``REPRO_SERIAL=1`` environment variable, or platforms without
-``fork``) computes the same shards in-process and is bitwise identical
-to the pooled run — the CI-stable mode.
+waves equal single-process waves bitwise; the serial fallback
+(``serial=True``, the ``REPRO_SERIAL=1`` environment variable, or
+platforms without ``fork``) computes the same shards in-process and is
+bitwise identical to the pooled run — the CI-stable mode.
 
 **Fault tolerance** (PERFORMANCE.md §13).  Worker processes crash,
 hang and return garbage in production; the pool recovers from all
@@ -46,8 +36,8 @@ three without ever changing a result:
 * shard results are **validated** (shape + finiteness) before they
   are accepted; a corrupt shard counts as a fault and is retried;
 * a shard that exhausts its budget **degrades** to the in-parent
-  serial path — the wave or gradient step still completes, bitwise
-  identical to the no-fault run (every shard is deterministic), and a
+  serial path — the wave still completes, bitwise identical to the
+  no-fault run (every shard is deterministic), and a
   :class:`~repro.serving.faults.DegradedModeReport` is recorded in
   :attr:`WorkerPool.health` instead of an exception escaping.
 
@@ -76,32 +66,23 @@ from ..nn import autodiff
 from ..nn.backend import active_backend_spec, compute_backend
 from .faults import (CorruptShard, DegradedModeReport, FaultInjector,
                      PoolHealth, ShardTimeout, apply_worker_fault,
-                     corrupt_grad_shard, corrupt_wave_shard,
-                     run_with_fault)
+                     corrupt_wave_shard, run_with_fault)
 
 if TYPE_CHECKING:
-    from ..core.graph import GraphBatch
-    from ..core.model import CostreamGNN
     from ..placement.optimizer import PlacementDecision
     from .batcher import DecisionBatcher, DecisionRequest
 
-__all__ = ["WorkerPool", "sharded_loss_and_grad"]
+__all__ = ["WorkerPool"]
 
 #: Models registered for fork inheritance, keyed by pool token.  Set in
 #: the parent before its executor starts, copied into every worker by
 #: ``fork``; entries are dropped when the owning pool closes.
 _FORK_MODELS: dict[int, tuple] = {}
-#: Shared parameter blocks for gradient sharding, keyed by
-#: ``(pool token, network spec)`` — registered pre-fork like the
-#: models, so workers inherit the mapping (anonymous ``mmap`` needs no
-#: name, no attach, no cleanup beyond the last unmap).
-_GRAD_BLOCKS: dict[tuple, "_SharedBlock"] = {}
 _TOKENS = itertools.count(1)
 
 #: Worker-side caches (live only inside worker processes).
 _WORKER_BATCHERS: dict[int, object] = {}
 _WORKER_GENERATIONS: dict[int, int] = {}
-_WORKER_NETWORKS: dict[tuple, object] = {}
 
 
 class _SharedBlock:
@@ -183,12 +164,10 @@ def _release(token: int | None, executor: ProcessPoolExecutor) -> None:
     Runs from ``close()``, from GC, or from the interpreter's atexit
     sweep — every step is guarded so a half-torn-down interpreter (or
     an executor that never finished starting) can never leak the fork
-    registrations that pin the model and the ``_SharedBlock`` mmaps.
+    registration that pins the model and its ``_SharedBlock`` mmap.
     """
     if token is not None:
         _FORK_MODELS.pop(token, None)
-        for key in [key for key in _GRAD_BLOCKS if key[0] == token]:
-            _GRAD_BLOCKS.pop(key, None)
     try:
         executor.shutdown(wait=False)
     except Exception:
@@ -254,46 +233,6 @@ def _wave_shard(token: int, requests: list, dtype_str: str,
                 corrupt_wave_shard)
     finally:
         autodiff._INFERENCE_DTYPE[0] = previous
-
-
-def _network_spec(network: "CostreamGNN") -> tuple:
-    return (network.featurizer.mode, network.hidden_dim, network.scheme,
-            network.traditional_rounds)
-
-
-def _grad_shard(token: int, spec: tuple, batch: "GraphBatch",
-                labels: np.ndarray, loss_kind: str,
-                backend_spec: str = "numpy", fault=None
-                ) -> tuple[float, list[np.ndarray], int]:
-    """Worker entry point: one shard's (loss, parameter grads, size).
-
-    The worker's network skeleton is built once per (pool, spec) and
-    its parameters alias the shared block's views directly — every
-    task reads the weights the parent wrote immediately before
-    submitting, with zero per-task weight traffic.
-    """
-    key = (token, spec)
-    network = _WORKER_NETWORKS.get(key)
-    if network is None:
-        from ..core.features import Featurizer
-        from ..core.model import CostreamGNN
-
-        mode, hidden_dim, scheme, rounds = spec
-        network = CostreamGNN(Featurizer(mode), hidden_dim=hidden_dim,
-                              scheme=scheme, traditional_rounds=rounds)
-        block = _GRAD_BLOCKS[key]
-        for param, view in zip(network.parameters(), block.views):
-            param.data = view
-        _WORKER_NETWORKS[key] = network
-
-    def compute():
-        network.zero_grad()
-        loss = network.loss_and_grad(batch, labels, loss_kind)
-        return (loss, [param.grad for param in network.parameters()],
-                batch.n_graphs)
-
-    with compute_backend(backend_spec):
-        return apply_worker_fault(fault, compute, corrupt_grad_shard)
 
 
 def _validate_wave_shard(result, requests) -> None:
@@ -364,13 +303,9 @@ class WorkerPool:
         self._wave_key: tuple | None = None
         self._wave_params: list[np.ndarray] | None = None
         self._wave_block: _SharedBlock | None = None
-        #: Per-spec shared blocks for gradient sharding; survive worker
-        #: restarts (the block is re-registered at the next fork).
-        self._grad_blocks: dict[tuple, _SharedBlock] = {}
-        self._forked_grad_specs: set[tuple] = set()
         #: Dispatch ordinals per operation kind — the coordinates the
         #: fault injector addresses.
-        self._steps = {"wave": 0, "grad": 0}
+        self._steps = {"wave": 0}
         # Safety net for pools dropped without close(): releases the
         # fork registration (which pins the model) and shuts the
         # workers down when the pool object is garbage collected.
@@ -401,7 +336,6 @@ class WorkerPool:
         self._wave_key = None
         self._wave_params = None
         self._wave_block = None
-        self._forked_grad_specs = set()
 
     def restart(self) -> None:
         """Refork the workers (e.g. after in-place weight writes)."""
@@ -420,7 +354,7 @@ class WorkerPool:
         return [part for part in parts if part.size]
 
     # ------------------------------------------------------------------
-    # Resilient shard dispatch (shared by waves and gradient steps)
+    # Resilient shard dispatch
     # ------------------------------------------------------------------
     def _next_step(self, op: str) -> int:
         step = self._steps[op]
@@ -529,8 +463,8 @@ class WorkerPool:
     def _restart_workers(self) -> None:
         """Kill and refork the workers, keeping every registration.
 
-        Unlike :meth:`close`, the wave entry and gradient blocks
-        survive: the fresh executor re-registers them pre-fork, so the
+        Unlike :meth:`close`, the wave entry survives: the fresh
+        executor re-registers it pre-fork, so the
         next dispatch round proceeds as if the pool had just started —
         including hung workers, which are terminated outright
         (``shutdown`` alone would wait for their sleep to finish).
@@ -637,139 +571,12 @@ class WorkerPool:
         self._wave_block = _SharedBlock(params)
         self._start_executor()
 
-    # ------------------------------------------------------------------
-    # Training gradient shards
-    # ------------------------------------------------------------------
-    def run_grad_shards(self, network: "CostreamGNN",
-                        pairs: list[tuple["GraphBatch", np.ndarray]],
-                        loss_kind: str
-                        ) -> list[tuple[float, list[np.ndarray], int]]:
-        """Per-shard (loss, grads, n_graphs), in shard order.
-
-        The pooled path writes the current weights into the network's
-        shared parameter block (workers alias it — nothing but batch
-        data crosses the process boundary per step); the serial
-        fallback replays the identical per-shard computation
-        in-process, so both backends return bitwise-equal shard
-        results.  Either way the resilient dispatcher retries,
-        restarts and (past the budget) degrades failing shards without
-        changing a bit of the combined gradient.
-        """
-        serial_happy = (self.serial and self.injector is None)
-        if serial_happy or self.processes == 1 or len(pairs) == 1:
-            saved = [param.grad for param in network.parameters()]
-            results = [self._inprocess_grad_shard(network, pair,
-                                                  loss_kind)
-                       for pair in pairs]
-            for param, grad in zip(network.parameters(), saved):
-                param.grad = grad
-            return results
-        spec = _network_spec(network)
-        shapes = [param.data.shape for param in network.parameters()]
-        if not self.serial:
-            self._ensure_grad_workers(network, spec)
-
-        backend_spec = active_backend_spec()
-
-        def submit(payload, fault):
-            batch, labels = payload
-            return self._executor.submit(_grad_shard, self._token,
-                                         spec, batch, labels,
-                                         loss_kind, backend_spec, fault)
-
-        def compute(payload, fault):
-            return run_with_fault(
-                fault,
-                lambda: self._inprocess_grad_shard(network, payload,
-                                                   loss_kind),
-                corrupt_grad_shard)
-
-        def validate(result, payload):
-            self._validate_grad_shard(result, payload, shapes)
-
-        def degrade(payload):
-            return self._inprocess_grad_shard(network, payload,
-                                              loss_kind)
-
-        saved = [param.grad for param in network.parameters()]
-        try:
-            results, degraded = self._run_resilient(
-                "grad", pairs, submit, compute, validate, degrade)
-        finally:
-            for param, grad in zip(network.parameters(), saved):
-                param.grad = grad
-        self.health.grad_steps += 1
-        if degraded:
-            self.health.degraded_grad_steps += 1
-        return results
-
-    def _ensure_grad_workers(self, network: "CostreamGNN",
-                             spec: tuple) -> None:
-        """Register the network's shared block and fork if needed."""
-        params = [param.data for param in network.parameters()]
-        block = self._grad_blocks.get(spec)
-        if block is not None and not block.matches(params):
-            # Workers forked with the old block would keep aliasing its
-            # (now dead) views; dropping the spec forces the restart
-            # below so they re-attach to the replacement.
-            block = None
-            self._forked_grad_specs.discard(spec)
-        if block is None:
-            block = _SharedBlock(params)
-            self._grad_blocks[spec] = block
-        if self._executor is not None \
-                and spec not in self._forked_grad_specs:
-            # The workers predate this network's block; restart them so
-            # they inherit its mapping.
-            self.close()
-        if self._executor is None:
-            self._start_executor()
-        block.write(params)
-
-    @staticmethod
-    def _inprocess_grad_shard(network: "CostreamGNN", pair,
-                              loss_kind: str
-                              ) -> tuple[float, list[np.ndarray], int]:
-        """One shard computed in the parent — the serial backend AND
-        the trusted degraded-mode fallback (identical math)."""
-        batch, labels = pair
-        network.zero_grad()
-        loss = network.loss_and_grad(batch, labels, loss_kind)
-        grads = [param.grad for param in network.parameters()]
-        for param in network.parameters():
-            param.grad = None
-        return (loss, grads, batch.n_graphs)
-
-    @staticmethod
-    def _validate_grad_shard(result, pair, shapes) -> None:
-        """Accept a gradient shard only if it is structurally sound."""
-        batch, _ = pair
-        try:
-            loss, grads, n_graphs = result
-        except (TypeError, ValueError):
-            raise CorruptShard("gradient shard is not a (loss, grads, "
-                              "n) triple") from None
-        if not np.isfinite(loss):
-            raise CorruptShard("gradient shard returned a non-finite "
-                              "loss")
-        if n_graphs != batch.n_graphs or len(grads) != len(shapes):
-            raise CorruptShard("gradient shard shape bookkeeping is "
-                              "inconsistent")
-        for grad, shape in zip(grads, shapes):
-            if grad is None or grad.shape != shape:
-                raise CorruptShard("gradient shard has a mis-shaped "
-                                  "parameter gradient")
-            if not np.all(np.isfinite(grad)):
-                raise CorruptShard("gradient shard has non-finite "
-                                  "gradient values")
-
     def _start_executor(self) -> None:
         """Fork the workers, registering everything they must inherit.
 
         Exception-safe: if the executor cannot start, every
         registration made here is rolled back before the error
-        propagates, so a failed start leaks neither the model pins nor
-        the shared-block mappings.
+        propagates, so a failed start leaks no model pin.
         """
         token = next(_TOKENS)
         self._token = token
@@ -780,48 +587,14 @@ class WorkerPool:
                     self._wave_block.generation
                 _FORK_MODELS[token] = (model, objective,
                                        self._wave_block)
-            for spec, block in self._grad_blocks.items():
-                _GRAD_BLOCKS[(token, spec)] = block
-            self._forked_grad_specs = set(self._grad_blocks)
             self._executor = ProcessPoolExecutor(
                 max_workers=self.processes,
                 mp_context=mp.get_context("fork"))
         except BaseException:
             _FORK_MODELS.pop(token, None)
-            for key in [key for key in _GRAD_BLOCKS
-                        if key[0] == token]:
-                _GRAD_BLOCKS.pop(key, None)
             self._token = None
             self._executor = None
             raise
         self._finalizer = weakref.finalize(self, _release, token,
                                            self._executor)
 
-
-def sharded_loss_and_grad(network: "CostreamGNN",
-                          pairs: list[tuple["GraphBatch", np.ndarray]],
-                          loss_kind: str, pool: WorkerPool) -> float:
-    """Whole-mini-batch loss/gradients from per-shard computations.
-
-    Shard losses and gradients combine by graph-count weighting in
-    shard order (``loss = sum(n_s * loss_s) / n``, ``grad = sum(n_s /
-    n * grad_s)``), matching the unsharded mean-loss semantics;
-    gradients accumulate into ``param.grad`` like ``loss_and_grad``.
-    Results are deterministic for a fixed shard count, and agree with
-    the unsharded step to float64 round-off (the per-shard GEMMs reduce
-    over different row counts), which is why pooled training is opt-in.
-    """
-    results = pool.run_grad_shards(network, pairs, loss_kind)
-    total = sum(n for _, _, n in results)
-    parameters = network.parameters()
-    loss_total = 0.0
-    for loss, grads, n in results:
-        weight = n / total
-        loss_total += loss * n
-        for param, grad in zip(parameters, grads):
-            scaled = grad * weight
-            if param.grad is None:
-                param.grad = scaled
-            else:
-                param.grad += scaled
-    return loss_total / total

@@ -1,24 +1,24 @@
-"""The stacked-ensemble training engine (see PERFORMANCE.md).
+"""The training engine (see PERFORMANCE.md).
 
-Trains all K members of a metric ensemble in ONE batched-GEMM
-forward/backward per mini-batch:
+Every cost model trains through ONE loop over a
+:class:`~repro.core.model.MemberStack` — one batched-GEMM
+forward/backward per mini-batch for all K members of a metric
+ensemble, and K=1 for a single :class:`~repro.core.training.CostModel`:
 
 * :class:`TrainingCorpus` — featurizes a trace corpus once and serves
   cached metric views to every ensemble (``Costream.fit`` and
   ``fine_tune`` both route through it);
-* :class:`BatchSchedule` — one deterministic split/shuffle/collation
-  source shared by all members, making stacked and sequential training
-  bitwise comparable;
-* :class:`StackedTrainer` — the K-member lock-step trainer over
-  :class:`~repro.core.model.TrainableMemberStack` weight stacks,
-  bitwise identical per member to :func:`fit_members_sequential` (the
-  retained ``CostModel.fit`` reference loop) under a shared schedule.
+* :class:`BatchSchedule` — one deterministic split/shuffle source,
+  shared by all members that should train on the same draws;
+* :class:`StackedTrainer` — the K-member lock-step trainer; under a
+  shared schedule each member is bitwise identical to its own
+  one-member ``CostModel.fit`` run.
 
-Opt in with ``TrainingConfig(member_training="stacked")``.
+Ensembles opt in to one shared schedule with
+``TrainingConfig(member_training="stacked")``.
 """
 
 from .corpus import BatchSchedule, TrainingCorpus
-from .stacked import StackedTrainer, fit_members_sequential
+from .stacked import StackedTrainer
 
-__all__ = ["BatchSchedule", "TrainingCorpus", "StackedTrainer",
-           "fit_members_sequential"]
+__all__ = ["BatchSchedule", "TrainingCorpus", "StackedTrainer"]

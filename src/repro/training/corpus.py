@@ -6,10 +6,8 @@ from the same graphs.  Two small objects remove that:
 
 * :class:`BatchSchedule` — ONE deterministic source for the train/val
   split and the per-epoch mini-batch permutations, shared by every
-  member of an ensemble (and by the stacked trainer).  It also caches
-  every collated :class:`~repro.core.graph.GraphBatch` it hands out,
-  keyed by the mini-batch's row set, so the K members (and the
-  validation pass of every epoch) collate each batch exactly once.
+  member of an ensemble (and by the stacked trainer).  It also
+  collates the validation batches once for every epoch and member.
 * :class:`TrainingCorpus` — a :class:`~repro.core.dataset.GraphDataset`
   wrapper that featurizes a trace corpus once and serves cached metric
   views to every ensemble; :meth:`repro.core.costream.Costream.fit`
@@ -18,9 +16,9 @@ from the same graphs.  Two small objects remove that:
   training and few-shot adaptation alike).
 
 A schedule makes K-member training *comparable*: under a shared
-schedule, the stacked trainer and the retained sequential
-``CostModel.fit`` loop consume identical splits, identical epoch
-orders and identical collated batches, so their loss trajectories and
+schedule, one K-member stacked run and K one-member
+``CostModel.fit`` runs consume identical splits, identical epoch
+orders and identical mini-batches, so their loss trajectories and
 final parameters can be (and are) asserted bitwise equal.
 """
 
@@ -30,7 +28,7 @@ import numpy as np
 
 from ..core.dataset import GraphDataset
 from ..core.features import Featurizer
-from ..core.graph import GraphBatch, QueryGraph, collate
+from ..core.graph import GraphBatch, QueryGraph
 from ..core.training import paired_batches
 
 __all__ = ["BatchSchedule", "TrainingCorpus"]
@@ -39,32 +37,19 @@ __all__ = ["BatchSchedule", "TrainingCorpus"]
 class BatchSchedule:
     """A deterministic, shareable mini-batch schedule.
 
-    Replays exactly the RNG draws ``CostModel.fit`` makes — one
-    permutation for the train/val split, then one permutation per
-    epoch over the (possibly oversampled) sample pool — from a single
-    ``np.random.default_rng(seed)`` stream, generated lazily and
-    cached so every consumer sees the same sequence regardless of who
-    asks first.  Collated train batches and validation pairs are
-    cached alongside: K members training under one schedule collate
-    each mini-batch once instead of K times.
+    Draws one permutation for the train/val split, then one
+    permutation per epoch over the (possibly oversampled) sample pool,
+    from a single ``np.random.default_rng(seed)`` stream, generated
+    lazily and cached so every consumer sees the same sequence
+    regardless of who asks first.  The collated validation pairs are
+    cached alongside.
     """
-
-    #: Train-batch cache bound (FIFO).  Epoch permutations rarely
-    #: repeat a row set, so within one *stacked* fit each cached batch
-    #: is read once — the cache exists for the K-member sequential
-    #: reference, whose members replay the same epochs one after
-    #: another.  The bound keeps a long fit (60 epochs x many batches)
-    #: from retaining the whole collated corpus many times over; a
-    #: miss simply re-collates, which is deterministic, so eviction
-    #: can never change results.
-    MAX_CACHED_BATCHES = 64
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._split_order: np.ndarray | None = None
         self._epoch_perms: list[np.ndarray] = []
-        self._batches: dict[bytes, GraphBatch] = {}
         self._val_pairs: list[tuple[GraphBatch, np.ndarray]] | None = None
         self._val_key: tuple | None = None
 
@@ -84,10 +69,10 @@ class BatchSchedule:
 
     def epoch_order(self, epoch: int, sample_pool: np.ndarray
                     ) -> np.ndarray:
-        """Row order of one epoch: ``sample_pool`` permuted exactly as
-        ``CostModel.fit`` would (epoch permutations are drawn in epoch
-        order and cached, so members replaying from epoch 0 see the
-        same sequence)."""
+        """Row order of one epoch: ``sample_pool`` permuted by the
+        epoch's draw (epoch permutations are drawn in epoch order and
+        cached, so members replaying from epoch 0 see the same
+        sequence)."""
         while len(self._epoch_perms) <= epoch:
             self._epoch_perms.append(
                 self._rng.permutation(len(sample_pool)))
@@ -99,20 +84,6 @@ class BatchSchedule:
         return sample_pool[perm]
 
     # ------------------------------------------------------------------
-    def train_batch(self, graphs: list[QueryGraph],
-                    rows: np.ndarray) -> GraphBatch:
-        """The collated batch for ``rows`` of ``graphs``, cached by row
-        set (bounded FIFO, :data:`MAX_CACHED_BATCHES`) — every member
-        (and every repeat of the same row set) shares one collation."""
-        key = rows.tobytes()
-        batch = self._batches.get(key)
-        if batch is None:
-            batch = collate([graphs[i] for i in rows])
-            while len(self._batches) >= self.MAX_CACHED_BATCHES:
-                self._batches.pop(next(iter(self._batches)))
-            self._batches[key] = batch
-        return batch
-
     def val_pairs(self, val_graphs, val_labels: np.ndarray,
                   batch_size: int
                   ) -> list[tuple[GraphBatch, np.ndarray]]:

@@ -1,73 +1,57 @@
-"""K-member stacked ensemble training (one batched step per mini-batch).
+"""K-member stacked training: the one training loop.
 
-``MetricEnsemble.fit`` used to train its K members one at a time:
-K full ``CostModel.fit`` runs, each paying the per-stage Python
-dispatch and small-GEMM cost of the manual training step, each
-re-collating the same mini-batches.  :class:`StackedTrainer` trains
-all members at once: member weights fold into
-:class:`~repro.core.model.TrainableMemberStack` 3-D stacks, every
+:class:`StackedTrainer` trains K same-metric models at once: member
+weights fold into one :class:`~repro.core.model.MemberStack`, every
 mini-batch runs ONE stacked forward/backward
-(:meth:`~repro.core.model.TrainableMemberStack.loss_and_grad`),
-gradients clip per member (:func:`repro.nn.stacked_clip_grad_norm`)
-and one :class:`repro.nn.StackedAdam` steps every member's slice.
+(:meth:`~repro.core.model.MemberStack.loss_and_grad`), gradients clip
+per member (:func:`repro.nn.stacked_clip_grad_norm`) and one
+:class:`repro.nn.StackedAdam` steps every member's slice.  A single
+:class:`~repro.core.training.CostModel` trains as K=1, so there is
+exactly one split, early-stopping and checkpoint implementation.
 
-**Equivalence contract.**  Under a shared
-:class:`~repro.training.BatchSchedule` the stacked run is bitwise
-identical to the retained sequential reference —
-:func:`fit_members_sequential`, which is nothing but the
-``CostModel.fit`` loop driven by the same schedule: per-member loss
-trajectories (train and validation), early-stopping epochs, and final
-parameters all match field for field, the way
-``collate_candidates_reference`` anchors the index-native collation.
-Per-member state is preserved end to end: each member keeps its own
-seed-derived initialization, its own best-state snapshot and patience
-counter; a member whose patience runs out stops recording history at
-exactly the epoch the sequential loop would have stopped training it
-(its slice keeps stepping — harmless, since its final weights come
-from its best-state snapshot).
+**Equivalence contract.**  Every batched kernel replays the per-member
+kernel per slice, so under a shared
+:class:`~repro.training.BatchSchedule` a K-member run is bitwise
+identical to K one-member runs (K ``CostModel.fit`` calls): per-member
+loss trajectories (train and validation), early-stopping epochs, and
+final parameters all match field for field.  Per-member state is
+preserved end to end: each member keeps its own seed-derived
+initialization, its own best-state snapshot and patience counter; a
+member whose patience runs out stops recording history at exactly the
+epoch a one-member run would have stopped (its slice keeps stepping —
+harmless, since its final weights come from its best-state snapshot).
 
 What a shared schedule changes: the members draw one split and one
 per-epoch shuffle sequence from the *ensemble* seed instead of K
 member-seed streams.  That is a different (equally valid) training
-run than the historical per-member default, so stacked training is
-opt-in: ``TrainingConfig(member_training="stacked")``.
+run than the historical per-member default, so stacked ensemble
+training is opt-in: ``TrainingConfig(member_training="stacked")``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 
-from ..core.model import TrainableMemberStack
-from ..core.training import (CostModel, TrainingHistory, _jsonable,
+from ..core.graph import collate
+from ..core.model import MemberStack
+from ..core.training import (CostModel, TrainingHistory,
                              _oversampled_pool, holdout_size,
                              resolve_loss_kind)
 from ..nn.optim import StackedAdam, stacked_clip_grad_norm
 from .corpus import BatchSchedule
 
-__all__ = ["StackedTrainer", "fit_members_sequential"]
+__all__ = ["StackedTrainer"]
 
 
-def fit_members_sequential(members: list[CostModel],
-                           graphs, labels: np.ndarray,
-                           val_graphs=None, val_labels=None,
-                           epochs: int | None = None,
-                           schedule: BatchSchedule | None = None
-                           ) -> list[TrainingHistory]:
-    """The sequential reference: ``CostModel.fit`` per member, one
-    shared schedule.
-
-    This is the executable specification the stacked trainer is tested
-    against — the per-member training loop is kept fully reachable
-    (it IS ``CostModel.fit``), only the RNG-derived schedule is shared
-    so the two paths are comparable.
-    """
-    schedule = schedule or BatchSchedule(members[0].seed)
-    return [member.fit(graphs, labels, val_graphs, val_labels,
-                       epochs=epochs, schedule=schedule)
-            for member in members]
+def _jsonable(value):
+    """Normalize through JSON so in-memory fingerprints compare equal
+    to checkpoint headers read back from disk (tuples become lists,
+    dict keys become strings)."""
+    return json.loads(json.dumps(value))
 
 
 class StackedTrainer:
@@ -79,12 +63,6 @@ class StackedTrainer:
         self.members = members
         self.config = members[0].config
 
-    def supported(self) -> bool:
-        """Whether the stacked step covers this configuration (the
-        same envelope as the manual per-member step)."""
-        return all(member.network.supports_manual_step()
-                   for member in self.members)
-
     # ------------------------------------------------------------------
     def fit(self, graphs, labels: np.ndarray,
             val_graphs=None, val_labels=None,
@@ -93,29 +71,33 @@ class StackedTrainer:
             checkpoint_path=None, checkpoint_every: int = 1,
             resume: bool = False, on_epoch_end=None
             ) -> list[TrainingHistory]:
-        """Train all members; mirrors ``CostModel.fit`` line for line.
+        """Train all members; returns their histories.
 
-        Every RNG draw, split, oversampled pool, collation, loss,
-        gradient, clip and optimizer update replays the sequential
-        reference's exact kernels per member — only batched across the
-        member axis.  Histories append to each member's
-        ``CostModel.history`` exactly as ``fit`` would.
+        ``schedule`` defaults to ``BatchSchedule(members[0].seed)``.
+        Without ``val_graphs`` the schedule's split holds out
+        :func:`~repro.core.training.holdout_size` graphs; binary
+        metrics with ``balance_classes`` sample from the oversampled
+        pool; the learning rate decays every ``lr_decay_every``
+        epochs; each member early-stops on its own validation loss
+        and ends with its best-epoch weights loaded.  Histories append
+        to each member's ``CostModel.history``.
 
-        ``checkpoint_path`` / ``checkpoint_every`` / ``resume`` /
-        ``on_epoch_end`` match ``CostModel.fit``: epoch-granular,
-        atomically written crash recovery whose resumed run is bitwise
-        identical to the uninterrupted one (PERFORMANCE.md §13).  The
-        schedule needs no serialized state — a fresh
-        :class:`~repro.training.BatchSchedule` with the same seed
-        replays the split and every epoch's shuffle deterministically.
+        ``checkpoint_path`` enables epoch-granular, atomically written
+        crash recovery: every ``checkpoint_every`` epochs the complete
+        training state — weight stacks, best-state snapshots, Adam
+        moments, early-stopping counters and histories — is saved, and
+        a run killed at any point and re-invoked with ``resume=True``
+        (same data, same arguments) finishes bitwise identical to the
+        uninterrupted one (PERFORMANCE.md §13).  A kill mid-epoch
+        replays that epoch from its start.  The schedule needs no
+        serialized state — a fresh :class:`~repro.training.
+        BatchSchedule` with the same seed replays the split and every
+        epoch's shuffle deterministically.  ``on_epoch_end(epoch)`` is
+        called after each epoch's checkpoint; exceptions propagate.
         """
         members = self.members
         config = self.config
         size = len(members)
-        if not self.supported():
-            raise ValueError(
-                "stacked training requires the staged scheme without "
-                "dropout or legacy kernels")
         labels = np.asarray(labels, dtype=np.float64)
         schedule = schedule or BatchSchedule(members[0].seed)
         if val_graphs is None:
@@ -129,7 +111,7 @@ class StackedTrainer:
         else:
             val_labels = np.asarray(val_labels, dtype=np.float64)
 
-        stack = TrainableMemberStack([m.network for m in members])
+        stack = MemberStack([m.network for m in members])
         params = stack.parameters()
         optimizer = StackedAdam(params, size,
                                 lr=config.learning_rate,
@@ -228,7 +210,6 @@ class StackedTrainer:
             if header["completed"]:
                 for k, member in enumerate(members):
                     member.network.load_state_dict(best_state[k])
-                    member.network.eval()
                 return histories
 
         for epoch in range(start_epoch, budget):
@@ -241,7 +222,7 @@ class StackedTrainer:
             n_batches = 0
             for start in range(0, len(order), config.batch_size):
                 rows = order[start:start + config.batch_size]
-                batch = schedule.train_batch(graphs, rows)
+                batch = collate([graphs[i] for i in rows])
                 optimizer.zero_grad()
                 losses = stack.loss_and_grad(batch, labels[rows],
                                              loss_kind)
@@ -276,5 +257,4 @@ class StackedTrainer:
 
         for k, member in enumerate(members):
             member.network.load_state_dict(best_state[k])
-            member.network.eval()
         return histories

@@ -1,7 +1,7 @@
 """Batched-GEMM ensemble inference vs the per-member reference.
 
-The float64 member stack must be **bitwise** identical to the
-per-member array path (every batched kernel — stacked matmul,
+The float64 member stack must be **bitwise** identical to each
+member's taped forward (every batched kernel — stacked matmul,
 member-tiled bincount scatter-add — replays the per-member kernel per
 slice); float32 stacks must stay within the documented tolerance.  The
 reordering optimizer's fused direct batching must reproduce the
@@ -16,12 +16,16 @@ import pytest
 from repro.core import Costream, MemberStack, MetricEnsemble, \
     TrainingConfig
 from repro.core.dataset import GraphDataset
+from repro.core.graph import collate
 from repro.experiments.hotpaths import FLOAT32_TOLERANCE
-from repro.nn import MLP, StackedMLP, float32_inference, inference_dtype
+from repro.nn import (MLP, StackedMLP, float32_inference,
+                      inference_dtype, msle_loss)
 from repro.nn.autodiff import legacy_kernels
 from repro.optimizations import ReorderingOptimizer
 from repro.query import DataType, Filter, QueryPlan, Sink, Source, \
     TupleSchema
+
+from oracles import member_predictions_reference
 
 
 @pytest.fixture(scope="module")
@@ -55,18 +59,16 @@ class TestFloat64Bitwise:
         ensemble = trained[metric]
         graphs, _ = dataset.metric_view(metric)
         fast = ensemble._member_predictions(graphs[:50])
-        reference = ensemble._member_predictions_reference(graphs[:50])
+        reference = member_predictions_reference(ensemble, graphs[:50])
         np.testing.assert_array_equal(fast, reference)
 
     def test_untrained_single_batch_bitwise(self, dataset, tiny_config):
         ensemble = MetricEnsemble("e2e_latency", size=2,
                                   config=tiny_config, seed=7)
-        for member in ensemble.members:
-            member.network.eval()
         graphs, _ = dataset.metric_view("e2e_latency")
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]),
-            ensemble._member_predictions_reference(graphs[:10]))
+            member_predictions_reference(ensemble, graphs[:10]))
 
     def test_matches_member_predict_loop(self, trained, dataset):
         ensemble = trained["processing_latency"]
@@ -81,10 +83,12 @@ class TestFloat64Bitwise:
         graphs, _ = dataset.metric_view("backpressure")
         proba = ensemble.predict_proba(graphs[:20])
         reference = \
-            ensemble._member_predictions_reference(graphs[:20])
+            member_predictions_reference(ensemble, graphs[:20])
         np.testing.assert_array_equal(proba, reference.mean(axis=0))
 
     def test_legacy_kernels_fall_back(self, trained, dataset):
+        """The seed kernels (a benchmark switch of the taped path)
+        leave the stack's predictions unchanged."""
         ensemble = trained["processing_latency"]
         graphs, _ = dataset.metric_view("processing_latency")
         expected = ensemble.predict(graphs[:8])
@@ -151,7 +155,7 @@ class TestStackCacheInvalidation:
         assert after is not before
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]),
-            ensemble._member_predictions_reference(graphs[:10]))
+            member_predictions_reference(ensemble, graphs[:10]))
 
     def test_in_place_mutation_requires_invalidate(self, dataset,
                                                    tiny_config):
@@ -165,8 +169,6 @@ class TestStackCacheInvalidation:
         """
         ensemble = MetricEnsemble("throughput", size=2,
                                   config=tiny_config, seed=7)
-        for member in ensemble.members:
-            member.network.eval()
         graphs, _ = dataset.metric_view("throughput")
         stale = ensemble._member_predictions(graphs[:10])
 
@@ -179,7 +181,7 @@ class TestStackCacheInvalidation:
         # reference already sees the new weights.
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]), stale)
-        reference = ensemble._member_predictions_reference(graphs[:10])
+        reference = member_predictions_reference(ensemble, graphs[:10])
         assert np.max(np.abs(reference - stale)) > 0.0
 
         ensemble.invalidate_stacks()
@@ -192,8 +194,6 @@ class TestStackCacheInvalidation:
         # invalidate_stacks() call.
         ensemble = MetricEnsemble("throughput", size=2,
                                   config=tiny_config, seed=5)
-        for member in ensemble.members:
-            member.network.eval()
         before = ensemble.member_stack()
         state = ensemble.members[0].network.state_dict()
         state["p0"] = state["p0"] + 1.0
@@ -203,7 +203,7 @@ class TestStackCacheInvalidation:
         graphs, _ = dataset.metric_view("throughput")
         np.testing.assert_array_equal(
             ensemble._member_predictions(graphs[:10]),
-            ensemble._member_predictions_reference(graphs[:10]))
+            member_predictions_reference(ensemble, graphs[:10]))
 
 
 class TestStackValidation:
@@ -217,14 +217,29 @@ class TestStackValidation:
         with pytest.raises(ValueError):
             StackedMLP.from_mlps([])
 
-    def test_traditional_scheme_rejected(self, tiny_config):
+    def test_traditional_scheme_stacked(self, dataset, tiny_config):
+        """The traditional scheme runs on the stack too: K=3 stacked
+        forward and training step equal the per-member tape."""
         from dataclasses import replace
         config = replace(tiny_config, scheme="traditional")
-        ensemble = MetricEnsemble("throughput", size=2, config=config)
-        with pytest.raises(ValueError):
-            MemberStack([m.network for m in ensemble.members])
-        # ...and the ensemble routes around it via the reference path.
-        assert not ensemble._supports_batched()
+        ensemble = MetricEnsemble("throughput", size=3, config=config)
+        graphs, labels = dataset.metric_view("throughput")
+        np.testing.assert_array_equal(
+            ensemble._member_predictions(graphs[:20]),
+            member_predictions_reference(ensemble, graphs[:20]))
+        networks = [m.network for m in ensemble.members]
+        stack = MemberStack(networks)
+        batch = collate(graphs[:20])
+        losses = stack.loss_and_grad(batch, labels[:20], "msle")
+        for k, network in enumerate(networks):
+            loss = msle_loss(network(batch), labels[:20])
+            loss.backward()
+            assert losses[k] == loss.item()
+            for param, stacked in zip(network.parameters(),
+                                      stack.parameters()):
+                np.testing.assert_array_equal(
+                    stacked.grad[k].reshape(param.grad.shape),
+                    param.grad)
 
 
 def _chain_plan(selectivities):

@@ -2,10 +2,10 @@
 
 The recovery oracle is the repo's bitwise-equivalence discipline: for
 EVERY injected fault class (crash, hang/timeout, corrupt shard) the
-wave and the pool-sharded fit must complete successfully and produce
-decisions/gradients bit-identical to the no-fault serial reference —
-retries and the degraded fallback recompute deterministic shards, so
-recovery is exact, not approximate.  Likewise a training run killed
+wave must complete successfully and produce decisions bit-identical
+to the no-fault serial reference — retries and the degraded fallback
+recompute deterministic shards, so recovery is exact, not
+approximate.  Likewise a training run killed
 mid-fit and resumed must be bitwise identical (losses, early stopping,
 final parameters) to the uninterrupted run.
 
@@ -25,8 +25,7 @@ import pytest
 from repro.core.training import CostModel, TrainingConfig
 from repro.serving import (DecisionBatcher, FaultInjector, FaultPlan,
                            FaultSpec, WorkerPool)
-from repro.serving.faults import (CorruptShard, ShardTimeout,
-                                  WorkerCrash, corrupt_grad_shard,
+from repro.serving.faults import (ShardTimeout, WorkerCrash,
                                   run_with_fault)
 from repro.serving.pool import _fork_available
 from repro.training.stacked import StackedTrainer
@@ -122,17 +121,6 @@ class TestFaultPlan:
         with pytest.raises(ShardTimeout):
             run_with_fault(FaultSpec(kind="hang"), compute, None)
 
-    def test_corrupt_grad_shard_is_caught_by_validation(self):
-        grads = [np.ones((2, 2)), np.zeros(3)]
-        loss, bad_grads, n = corrupt_grad_shard((0.5, grads, 4))
-        assert np.isnan(loss) and n == 4
-        assert all(np.isnan(grad).all() for grad in bad_grads)
-        shapes = [grad.shape for grad in grads]
-        with pytest.raises(CorruptShard):
-            WorkerPool._validate_grad_shard(
-                (loss, bad_grads, n), (type("B", (), {"n_graphs": 4})(),
-                                       None), shapes)
-
 
 class TestSerialChaos:
     """Every fault class, recovered on the serial backend (fast)."""
@@ -202,39 +190,6 @@ class TestSerialChaos:
         assert pool.health.shards_dispatched == 2
         assert pool.health.retries == 0
 
-    def test_grad_faults_leave_training_bitwise(self, train_data):
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=3, patience=5,
-                                batch_size=16)
-
-        def fit(pool):
-            member = CostModel("processing_latency", config=config,
-                               seed=0)
-            member.fit(graphs, labels, pool=pool)
-            return member
-
-        with WorkerPool(processes=2, serial=True) as pool:
-            reference = fit(pool)
-        pool, injector = _injected_pool(
-            FaultSpec(kind="corrupt", op="grad", step=1, shard=1),
-            FaultSpec(kind="crash", op="grad", step=3, shard=0),
-            FaultSpec(kind="hang", op="grad", step=5, shard=None,
-                      attempts=99),  # degrades past the budget
-            max_retries=1)
-        with pool:
-            faulted = fit(pool)
-        assert len(injector.injected) >= 3
-        assert pool.health.degraded_shards > 0
-        assert reference.history.train_loss == \
-            faulted.history.train_loss
-        assert reference.history.val_loss == faulted.history.val_loss
-        ref_state = reference.network.state_dict()
-        faulted_state = faulted.network.state_dict()
-        for key in ref_state:
-            np.testing.assert_array_equal(ref_state[key],
-                                          faulted_state[key])
-
-
 @needs_fork
 class TestForkChaos:
     """Real worker processes: kills, hangs, and corrupt results."""
@@ -278,26 +233,6 @@ class TestForkChaos:
         _assert_decisions_equal(decisions, reference)
         assert pool.health.corrupt_shards == 1
         assert pool.health.restarts == 0  # validation needs no refork
-
-    def test_grad_crash_in_pooled_fit(self, train_data):
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=3, patience=5)
-
-        def losses(pool):
-            member = CostModel("processing_latency", config=config,
-                               seed=0)
-            return np.asarray(
-                member.fit(graphs, labels, pool=pool).train_loss)
-
-        with WorkerPool(processes=2, serial=True) as serial_pool:
-            reference = losses(serial_pool)
-        pool, _ = _injected_pool(
-            FaultSpec(kind="crash", op="grad", step=2, shard=0),
-            serial=False)
-        with pool:
-            faulted = losses(pool)
-        np.testing.assert_array_equal(reference, faulted)
-        assert pool.health.restarts >= 1
 
     def test_degraded_wave_on_fork_backend(self, model, requests,
                                            reference):
@@ -464,27 +399,6 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="does not match"):
             StackedTrainer(other).fit(graphs, labels,
                                       checkpoint_path=ckpt, resume=True)
-
-    def test_pooled_fit_with_checkpointing(self, train_data, tmp_path):
-        """Checkpoint/resume composes with pool-sharded training."""
-        graphs, labels = train_data
-        config = TrainingConfig(hidden_dim=12, epochs=4, patience=3)
-        with WorkerPool(processes=2, serial=True) as pool:
-            reference = CostModel("processing_latency", config=config,
-                                  seed=3)
-            reference.fit(graphs, labels, pool=pool)
-            ckpt = tmp_path / "fit.npz"
-            hook, Killed = self._kill_at(1)
-            killed = CostModel("processing_latency", config=config,
-                               seed=3)
-            with pytest.raises(Killed):
-                killed.fit(graphs, labels, pool=pool,
-                           checkpoint_path=ckpt, on_epoch_end=hook)
-            resumed = CostModel("processing_latency", config=config,
-                                seed=3)
-            resumed.fit(graphs, labels, pool=pool,
-                        checkpoint_path=ckpt, resume=True)
-        self._assert_same_model(reference, resumed)
 
 
 @nightly_chaos

@@ -9,6 +9,8 @@ from repro.core import (Costream, TrainingConfig, load_costream,
                         save_costream)
 from repro.core.dataset import GraphDataset
 
+from oracles import member_predictions_reference
+
 
 @pytest.fixture(scope="module")
 def trained(tiny_corpus):
@@ -104,7 +106,7 @@ class TestStackedTrainingRoundTrip:
         ensemble = loaded.ensembles["throughput"]
         np.testing.assert_array_equal(
             ensemble._member_predictions(dataset.graphs),
-            ensemble._member_predictions_reference(dataset.graphs))
+            member_predictions_reference(ensemble, dataset.graphs))
         # Warm the stack, then replace weights via load_state_dict —
         # the next prediction must serve the fresh weights.
         warm = ensemble._member_predictions(dataset.graphs)
@@ -118,7 +120,7 @@ class TestStackedTrainingRoundTrip:
         assert not np.array_equal(warm, shifted)
         np.testing.assert_array_equal(
             shifted,
-            ensemble._member_predictions_reference(dataset.graphs))
+            member_predictions_reference(ensemble, dataset.graphs))
 
     def test_member_training_mode_persisted(self, stacked_trained,
                                             tmp_path):

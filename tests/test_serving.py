@@ -12,8 +12,7 @@ The throughput engine's contract (PERFORMANCE.md):
   are float32 end-to-end, bitwise equal to the old cast-at-forward
   path and within the documented decision-level tolerance of float64;
 * the worker pool returns decisions identical to the single-process
-  wave in every backend (fork and serial fallback), and pool-sharded
-  training is deterministic.
+  wave in every backend (fork and serial fallback).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import pytest
 from repro.core.costream import Costream
 from repro.core.graph import (collate, collate_chunks, mega_mergeable,
                               merge_batches)
-from repro.core.training import CostModel, TrainingConfig
+from repro.core.training import TrainingConfig
 from repro.hardware.cluster import sample_cluster
 from repro.nn import float32_inference
 from repro.placement.enumeration import HeuristicPlacementEnumerator
@@ -44,12 +43,8 @@ _METRICS = ("processing_latency", "success", "backpressure")
 def _model(hidden_dim: int = 16, size: int = 2,
            scheme: str = "staged") -> Costream:
     config = TrainingConfig(hidden_dim=hidden_dim, scheme=scheme)
-    model = Costream(metrics=_METRICS, ensemble_size=size, config=config,
-                     seed=0)
-    for ensemble in model.ensembles.values():
-        for member in ensemble.members:
-            member.network.eval()
-    return model
+    return Costream(metrics=_METRICS, ensemble_size=size, config=config,
+                    seed=0)
 
 
 def _requests(n: int, seed: int = 7,
@@ -119,8 +114,9 @@ class TestMegaBatchedWave:
         assert DecisionBatcher(_model()).decide([]) == []
 
     def test_traditional_scheme_falls_back(self):
-        """Without a member stack the wave scores per-request batches —
-        still identical to sequential optimization."""
+        """The traditional scheme is never mega-merged: the wave scores
+        per-request batches — still identical to sequential
+        optimization."""
         model = _model(scheme="traditional")
         batcher = DecisionBatcher(model)
         optimizer = PlacementOptimizer(model)
@@ -790,37 +786,3 @@ class TestConcurrentSubmitters:
             _assert_decisions_equal([future.result(timeout=30)],
                                     [reference[index]])
 
-
-class TestPooledTraining:
-    def _data(self):
-        from repro.core.dataset import GraphDataset
-        from repro.data.collection import BenchmarkCollector
-
-        traces = BenchmarkCollector(seed=5).collect(60)
-        dataset = GraphDataset.from_traces(traces)
-        return dataset.metric_view("processing_latency")
-
-    def _fit(self, graphs, labels, pool):
-        config = TrainingConfig(hidden_dim=12, epochs=2, patience=5)
-        model = CostModel("processing_latency", config=config, seed=0)
-        history = model.fit(graphs, labels, pool=pool)
-        return np.asarray(history.train_loss)
-
-    def test_sharded_fit_deterministic_and_close_to_serial(self):
-        graphs, labels = self._data()
-        unsharded = self._fit(graphs, labels, None)
-        with WorkerPool(processes=2, serial=True) as pool:
-            first = self._fit(graphs, labels, pool)
-            second = self._fit(graphs, labels, pool)
-        np.testing.assert_array_equal(first, second)  # reproducible
-        np.testing.assert_allclose(first, unsharded, rtol=1e-9)
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_fork_fit_matches_serial_shards(self):
-        graphs, labels = self._data()
-        with WorkerPool(processes=2, serial=True) as serial_pool:
-            serial = self._fit(graphs, labels, serial_pool)
-        with WorkerPool(processes=2) as fork_pool:
-            forked = self._fit(graphs, labels, fork_pool)
-        np.testing.assert_array_equal(serial, forked)

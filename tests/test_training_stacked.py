@@ -1,10 +1,11 @@
 """Tests for the stacked-ensemble training engine (repro.training).
 
-The contract under test: under a shared :class:`BatchSchedule`, the
-:class:`StackedTrainer` is **bitwise identical** to the retained
-sequential reference (:func:`fit_members_sequential`, i.e. the
-``CostModel.fit`` loop) — per-member train/val loss trajectories,
-early-stopping epochs, and final parameters.
+The contract under test: under a shared :class:`BatchSchedule`, one
+K-member :class:`StackedTrainer` run is **bitwise identical** to K
+one-member ``CostModel.fit`` runs (``oracles.fit_members_sequential``)
+— per-member train/val loss trajectories, early-stopping epochs, and
+final parameters.  ``tests/test_tape_oracle.py`` pins the one-member
+run to a training loop written on the autodiff tape.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import pytest
 
 from repro.core.dataset import GraphDataset
 from repro.core.ensemble import MetricEnsemble
-from repro.core.model import TrainableMemberStack
-from repro.core.training import CostModel, TrainingConfig
-from repro.data import BenchmarkCollector
+from repro.core.graph import collate
+from repro.core.model import MemberStack
+from repro.core.training import CostModel, TrainingConfig, \
+    paired_batches
 from repro.nn import MLP, Adam, StackedAdam, Tensor, clip_grad_norm, \
-    StackedMLP, stacked_clip_grad_norm
-from repro.training import (BatchSchedule, StackedTrainer,
-                            TrainingCorpus, fit_members_sequential)
+    StackedMLP, msle_loss, no_grad, stacked_clip_grad_norm
+from repro.training import BatchSchedule, StackedTrainer, TrainingCorpus
+
+from oracles import fit_members_sequential, member_predictions_reference
 
 
 @pytest.fixture(scope="module")
@@ -100,15 +103,6 @@ class TestStackedBitwiseEquivalence:
                                       schedule=BatchSchedule(0))
         _assert_members_identical([plain], [stacked])
 
-    def test_unsupported_configuration_rejected(self, corpus_data):
-        graphs, labels = corpus_data.metric_view("throughput")
-        config = TrainingConfig(hidden_dim=8, epochs=2, dropout=0.3)
-        trainer = StackedTrainer(_members("throughput", config, size=2))
-        assert not trainer.supported()
-        with pytest.raises(ValueError, match="stacked training"):
-            trainer.fit(graphs, labels)
-
-
 class TestBatchSchedule:
     def test_draws_are_deterministic_and_cached(self):
         a = BatchSchedule(3)
@@ -149,15 +143,6 @@ class TestBatchSchedule:
         schedule.epoch_order(0, np.arange(10))
         with pytest.raises(ValueError):
             schedule.epoch_order(0, np.arange(12))
-
-    def test_train_batches_shared(self, corpus_data):
-        schedule = BatchSchedule(0)
-        rows = np.arange(8)
-        first = schedule.train_batch(corpus_data.graphs, rows)
-        second = schedule.train_batch(corpus_data.graphs,
-                                      np.arange(8))
-        assert first is second
-        assert first.n_graphs == 8
 
     def test_val_pairs_collated_once(self, corpus_data):
         schedule = BatchSchedule(0)
@@ -301,7 +286,7 @@ class TestEnsembleRouting:
         assert not np.array_equal(before, after)
         # The rebuilt stack serves the trained weights bitwise.
         np.testing.assert_array_equal(
-            after, ensemble._member_predictions_reference(graphs[:10]))
+            after, member_predictions_reference(ensemble, graphs[:10]))
 
     def test_stacked_fine_tune_changes_weights(self, tiny_corpus):
         dataset = GraphDataset.from_traces(tiny_corpus[:80])
@@ -336,10 +321,12 @@ class TestEnsembleRouting:
 
 
 class TestTrainableMemberStack:
+    """The float64 member stack's training side."""
+
     def test_member_state_round_trip(self, corpus_data):
         config = TrainingConfig(hidden_dim=10)
         members = _members("throughput", config, size=2)
-        stack = TrainableMemberStack([m.network for m in members])
+        stack = MemberStack([m.network for m in members])
         for k, member in enumerate(members):
             state = stack.member_state(k)
             reference = member.network.state_dict()
@@ -349,20 +336,19 @@ class TestTrainableMemberStack:
                                               reference[key])
 
     def test_single_step_matches_per_member(self, corpus_data):
-        from repro.core.graph import collate
-
+        """One stacked step equals each member's taped backward."""
         graphs, labels = corpus_data.metric_view("throughput")
         config = TrainingConfig(hidden_dim=12)
         members = _members("throughput", config, size=3)
         batch = collate(graphs[:16])
         chunk = labels[:16]
-        stack = TrainableMemberStack([m.network for m in members])
+        stack = MemberStack([m.network for m in members])
         losses = stack.loss_and_grad(batch, chunk, "msle")
         stacked_params = stack.parameters()
         for k, member in enumerate(members):
-            member.network.zero_grad()
-            loss = member.network.loss_and_grad(batch, chunk, "msle")
-            assert losses[k] == loss
+            loss = msle_loss(member.network(batch), chunk)
+            loss.backward()
+            assert losses[k] == loss.item()
             for i, param in enumerate(member.network.parameters()):
                 np.testing.assert_array_equal(
                     stacked_params[i].grad[k].reshape(param.grad.shape),
@@ -372,49 +358,30 @@ class TestTrainableMemberStack:
         graphs, labels = corpus_data.metric_view("throughput")
         config = TrainingConfig(hidden_dim=12)
         members = _members("throughput", config, size=2)
-        stack = TrainableMemberStack([m.network for m in members])
-        from repro.core.training import paired_batches
-
+        stack = MemberStack([m.network for m in members])
         pairs = paired_batches(graphs[:40], labels[:40], 16)
         stacked_losses = stack.loss_over_batches(pairs, "msle")
-        for k, member in enumerate(members):
-            assert stacked_losses[k] == member._loss_over_batches(pairs)
+        with no_grad():
+            for k, member in enumerate(members):
+                total = sum(msle_loss(member.network(batch), chunk)
+                            .item() * batch.n_graphs
+                            for batch, chunk in pairs)
+                assert stacked_losses[k] == total / 40
 
 
 class TestFoldedValidationForward:
-    """``forward_members`` (the training-plan validation forward) is
-    bitwise identical to the inference ``MemberStack`` forward."""
+    """The per-epoch validation forward is the stack's one forward:
+    bitwise identical to each member's taped forward."""
 
     @pytest.mark.parametrize("metric", ["throughput", "success"])
     def test_matches_inference_stack(self, corpus_data, metric):
-        from repro.core.model import MemberStack
-        from repro.core.training import paired_batches
-
         graphs, labels = corpus_data.metric_view(metric)
         config = TrainingConfig(hidden_dim=12)
         members = _members(metric, config, size=3)
-        networks = [m.network for m in members]
-        trainable = TrainableMemberStack(networks)
-        inference = MemberStack(networks, dtype=np.float64)
-        for batch, _ in paired_batches(graphs[:48], labels[:48], 16):
-            np.testing.assert_array_equal(
-                trainable.forward_members(batch),
-                inference.forward_arrays(batch))
-
-    def test_loss_over_batches_uses_training_plan(self, corpus_data):
-        """Validation batches should build the (cheap) training-plan
-        caches, not the member-tiled inference indexes."""
-        from repro.core.training import paired_batches
-
-        graphs, labels = corpus_data.metric_view("throughput")
-        config = TrainingConfig(hidden_dim=12)
-        members = _members("throughput", config, size=2)
-        stack = TrainableMemberStack([m.network for m in members])
-        pairs = paired_batches(graphs[:32], labels[:32], 16)
-        stack.loss_over_batches(pairs, "msle")
-        for batch, _ in pairs:
-            # The training-plan caches were built...
-            assert "_member_train_plan" in batch.__dict__
-            # ...and the member-tiled inference indexes were not.
-            assert "_member_plan" not in batch.__dict__
-            assert "_member_flat_gid" not in batch.__dict__
+        stack = MemberStack([m.network for m in members])
+        with no_grad():
+            for batch, _ in paired_batches(graphs[:48], labels[:48], 16):
+                np.testing.assert_array_equal(
+                    stack.forward(batch),
+                    np.stack([m.network(batch).numpy()
+                              for m in members]))
